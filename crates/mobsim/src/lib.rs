@@ -55,6 +55,8 @@ pub mod config;
 pub mod experiments;
 pub mod json;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod protocols;
 pub mod report;
 pub mod runner;

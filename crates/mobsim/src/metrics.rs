@@ -8,11 +8,22 @@
 //! handoff count and average handoff delay — are *derived* from the ledger
 //! instead of being counted separately, so the per-handover and aggregate
 //! views can never drift apart.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! Neither ledger decides on its own what a client should have received or
+//! which deliveries repeat: both are folds over the per-subscriber outcomes
+//! of the delivery audit's single event-major classification
+//! ([`mhh_pubsub::classify`] — O(published × matches + deliveries), one
+//! dense state array of working memory). [`HandoverLedger::from_outcomes`]
+//! adds the disruption-window attribution and the `buffered` catch-ups,
+//! [`RecoveryLedger::from_outcomes`] the outage-window attribution and the
+//! time-to-repair; the runner classifies once and feeds the audit and both,
+//! which is also why their totals reconcile exactly. The `assemble` entry
+//! points take raw logs and run the classification themselves.
 
 use mhh_pubsub::client::{DeliveryRecord, DisconnectRecord, ReconnectRecord};
-use mhh_pubsub::{ClientId, DeliveryAudit, Event, EventId, Filter};
+use mhh_pubsub::{
+    classify, ClientId, DeliveryAudit, Event, EventId, Filter, SubscriberLog, SubscriberOutcome,
+};
 use mhh_simnet::{DropCause, DropRecord, OutageWindow, SimTime};
 
 /// How a handover was initiated (paper §4.1 vs §4.2).
@@ -91,6 +102,29 @@ pub struct ClientHandoverLog<'a> {
     pub deliveries: &'a [DeliveryRecord],
 }
 
+impl<'a> ClientHandoverLog<'a> {
+    /// The part of the log the delivery audit reads.
+    pub fn as_subscriber(&self) -> SubscriberLog<'a> {
+        SubscriberLog {
+            client: self.client,
+            filter: self.filter,
+            deliveries: self.deliveries,
+        }
+    }
+}
+
+/// Classify the clients' logs with the delivery audit's one pass: what the
+/// standalone `assemble` entry points do before folding, and what the runner
+/// does once for the audit and both ledgers.
+pub(crate) fn classify_clients<'e>(
+    published: impl IntoIterator<Item = &'e Event>,
+    clients: &[ClientHandoverLog<'_>],
+    pending: &[(ClientId, EventId)],
+) -> Vec<SubscriberOutcome> {
+    let logs: Vec<SubscriberLog<'_>> = clients.iter().map(|log| log.as_subscriber()).collect();
+    classify(published, &logs, pending)
+}
+
 /// The per-handover ledger of one run: every handover of every client as a
 /// typed [`HandoverRecord`], in client order (and time order per client).
 ///
@@ -121,15 +155,26 @@ impl HandoverLedger {
         clients: &[ClientHandoverLog<'_>],
         pending: &[(ClientId, EventId)],
     ) -> HandoverLedger {
-        let publish_time: BTreeMap<EventId, SimTime> =
-            published.iter().map(|e| (e.id, e.published_at)).collect();
-        let mut pending_by_client: BTreeMap<ClientId, BTreeSet<EventId>> = BTreeMap::new();
-        for (c, e) in pending {
-            pending_by_client.entry(*c).or_default().insert(*e);
-        }
+        // Only a client with a disconnect and a reconnect can own a record,
+        // so only those logs need classifying.
+        let moved: Vec<ClientHandoverLog<'_>> = clients
+            .iter()
+            .filter(|log| !log.disconnects.is_empty() && !log.reconnects.is_empty())
+            .cloned()
+            .collect();
+        Self::from_outcomes(&moved, &classify_clients(published, &moved, pending))
+    }
 
+    /// [`assemble`](Self::assemble) over logs already classified:
+    /// `outcomes[i]` is [`classify`]'s outcome for `clients[i]`. Only the
+    /// window attribution happens here.
+    pub fn from_outcomes(
+        clients: &[ClientHandoverLog<'_>],
+        outcomes: &[SubscriberOutcome],
+    ) -> HandoverLedger {
+        assert_eq!(clients.len(), outcomes.len(), "one outcome per client");
         let mut records = Vec::new();
-        for log in clients {
+        for (log, outcome) in clients.iter().zip(outcomes) {
             let base = records.len();
             // Pair each reconnection with the earliest unconsumed
             // disconnection that precedes it. A reconnect with no such
@@ -174,29 +219,16 @@ impl HandoverLedger {
             let departs: Vec<SimTime> = windows.iter().map(|r| r.departed).collect();
             let window_of = |t: SimTime| departs.partition_point(|&d| d <= t).saturating_sub(1);
 
-            let expected: BTreeSet<EventId> = published
-                .iter()
-                .filter(|e| e.publisher != log.client && log.filter.matches(e))
-                .map(|e| e.id)
-                .collect();
-            let mut seen: BTreeSet<EventId> = BTreeSet::new();
-            for d in log.deliveries {
-                if seen.insert(d.event) {
-                    let w = &mut windows[window_of(d.at)];
-                    if d.at >= w.arrived && d.published_at < w.arrived {
-                        w.buffered += 1;
-                    }
-                } else {
-                    windows[window_of(d.at)].duplicates += 1;
+            let mut repeats = outcome.duplicates.iter().copied().peekable();
+            for (position, d) in log.deliveries.iter().enumerate() {
+                let w = &mut windows[window_of(d.at)];
+                if repeats.next_if_eq(&position).is_some() {
+                    w.duplicates += 1;
+                } else if d.at >= w.arrived && d.published_at < w.arrived {
+                    w.buffered += 1;
                 }
             }
-            let empty = BTreeSet::new();
-            let pending_here = pending_by_client.get(&log.client).unwrap_or(&empty);
-            for missing in expected.difference(&seen) {
-                if pending_here.contains(missing) {
-                    continue;
-                }
-                let at = publish_time.get(missing).copied().unwrap_or(SimTime::ZERO);
+            for &at in &outcome.lost_published_at {
                 windows[window_of(at)].lost += 1;
             }
         }
@@ -415,9 +447,9 @@ impl RecoveryLedger {
     /// Build the ledger from the run's fault schedule, the engine's drop
     /// log, and the same raw logs the delivery audit consumes. Returns the
     /// empty ledger when no faults were injected and no envelope was
-    /// dropped (the zero-fault, zero-loss fast path does no per-delivery
-    /// work). A loss-only run (no outage windows, but lossy links dropped
-    /// envelopes) still gets a full ledger: its audited losses all land in
+    /// dropped (the zero-fault, zero-loss fast path classifies nothing). A
+    /// loss-only run (no outage windows, but lossy links dropped envelopes)
+    /// still gets a full ledger: its audited losses all land in
     /// `unattributed_lost`, and every drop is counted by cause.
     ///
     /// Unlike [`HandoverLedger::assemble`], every subscriber participates —
@@ -433,6 +465,24 @@ impl RecoveryLedger {
         if windows.is_empty() && drops.is_empty() {
             return RecoveryLedger::default();
         }
+        let outcomes = classify_clients(published, clients, pending);
+        Self::from_outcomes(windows, drops, clients, &outcomes)
+    }
+
+    /// [`assemble`](Self::assemble) over logs already classified:
+    /// `outcomes[i]` is [`classify`]'s outcome for `clients[i]` (not read on
+    /// the zero-fault, zero-loss fast path). Only the window attribution and
+    /// the time-to-repair scan happen here.
+    pub fn from_outcomes(
+        windows: &[OutageWindow],
+        drops: &[DropRecord],
+        clients: &[ClientHandoverLog<'_>],
+        outcomes: &[SubscriberOutcome],
+    ) -> RecoveryLedger {
+        if windows.is_empty() && drops.is_empty() {
+            return RecoveryLedger::default();
+        }
+        assert_eq!(clients.len(), outcomes.len(), "one outcome per client");
         let mut records: Vec<OutageRecord> = windows
             .iter()
             .map(|w| OutageRecord {
@@ -467,51 +517,31 @@ impl RecoveryLedger {
         by_end.sort_by_key(|&i| (windows[i].end, windows[i].start));
         let attribute = |t: SimTime| by_end.iter().copied().find(|&i| t < windows[i].end);
 
-        let publish_time: BTreeMap<EventId, SimTime> =
-            published.iter().map(|e| (e.id, e.published_at)).collect();
-        let mut pending_by_client: BTreeMap<ClientId, BTreeSet<EventId>> = BTreeMap::new();
-        for (c, e) in pending {
-            pending_by_client.entry(*c).or_default().insert(*e);
-        }
-
         let mut unattributed_lost = 0u64;
         let mut unattributed_duplicates = 0u64;
         let mut first_after: Vec<Option<SimTime>> = vec![None; windows.len()];
 
-        for log in clients {
-            // Mirror the audit exactly: expected = published events matching
-            // the filter, minus own publications; duplicates = every
-            // delivery beyond the first of an event; lost = expected events
-            // neither seen nor pending.
-            let expected: BTreeSet<EventId> = published
-                .iter()
-                .filter(|e| e.publisher != log.client && log.filter.matches(e))
-                .map(|e| e.id)
-                .collect();
-            let mut seen: BTreeSet<EventId> = BTreeSet::new();
-            for d in log.deliveries {
-                if !seen.insert(d.event) {
-                    match attribute(d.at) {
-                        Some(i) => records[i].duplicates += 1,
-                        None => unattributed_duplicates += 1,
-                    }
-                }
-                for (i, w) in windows.iter().enumerate() {
-                    if d.at >= w.end && first_after[i].is_none_or(|t| d.at < t) {
-                        first_after[i] = Some(d.at);
-                    }
+        for (log, outcome) in clients.iter().zip(outcomes) {
+            for &position in &outcome.duplicates {
+                match attribute(log.deliveries[position].at) {
+                    Some(i) => records[i].duplicates += 1,
+                    None => unattributed_duplicates += 1,
                 }
             }
-            let empty = BTreeSet::new();
-            let pending_here = pending_by_client.get(&log.client).unwrap_or(&empty);
-            for missing in expected.difference(&seen) {
-                if pending_here.contains(missing) {
-                    continue;
-                }
-                let at = publish_time.get(missing).copied().unwrap_or(SimTime::ZERO);
+            for &at in &outcome.lost_published_at {
                 match attribute(at) {
                     Some(i) => records[i].lost += 1,
                     None => unattributed_lost += 1,
+                }
+            }
+            // The log is in arrival order, so this client's first delivery
+            // at or after a heal instant is one binary search away.
+            for (first, w) in first_after.iter_mut().zip(windows) {
+                let healed = log.deliveries.partition_point(|d| d.at < w.end);
+                if let Some(d) = log.deliveries.get(healed) {
+                    if first.is_none_or(|t| d.at < t) {
+                        *first = Some(d.at);
+                    }
                 }
             }
         }

@@ -14,16 +14,17 @@ use std::sync::Arc;
 
 use mhh_baselines::{HomeBroker, SubUnsub};
 use mhh_pubsub::broker::MobilityProtocol;
-use mhh_pubsub::delivery::{audit, SubscriberLog};
 use mhh_pubsub::dynproto::BoxedMsg;
-use mhh_pubsub::{repair_drives, ClientId, Deployment, DeploymentConfig, Event, NetMsg};
+use mhh_pubsub::{repair_drives, DeliveryAudit, Deployment, DeploymentConfig, NetMsg};
 use mhh_simnet::{
     EngineArena, EnginePerf, FaultSchedule, Network, PhaseBreakdown, SimDuration, TrafficClass,
 };
 
 use crate::builder::SimError;
 use crate::config::{Protocol, ScenarioConfig};
-use crate::metrics::{ClientHandoverLog, HandoverLedger, RecoveryLedger, RunResult, TrafficReport};
+use crate::metrics::{
+    classify_clients, ClientHandoverLog, HandoverLedger, RecoveryLedger, RunResult, TrafficReport,
+};
 use crate::protocols::{mhh_for, sub_unsub_wait, ProtocolRegistry, ProtocolSpec};
 use crate::workload::Workload;
 
@@ -220,6 +221,28 @@ where
     P: MobilityProtocol,
     F: FnMut(mhh_pubsub::BrokerId) -> P,
 {
+    let (dep, faults) = drive(config, network, workload, profile, make_protocol, arena);
+    let perf = dep.engine.perf();
+    let phases = dep.engine.phase_breakdown();
+    let result = collect(config, label, &dep, &faults);
+    let (_, _, _, recycled) = dep.engine.recycle();
+    (result, perf, phases, recycled)
+}
+
+/// Build the deployment, inject the workload and run the engine until it
+/// drains: everything of a run that happens before the post-run accounting.
+fn drive<P, F>(
+    config: &ScenarioConfig,
+    network: Arc<Network>,
+    workload: &Workload,
+    profile: bool,
+    make_protocol: F,
+    arena: EngineArena<NetMsg<P::Msg>>,
+) -> (Deployment<P>, FaultSchedule)
+where
+    P: MobilityProtocol,
+    F: FnMut(mhh_pubsub::BrokerId) -> P,
+{
     let dep_config = deployment_config(config);
     let faults = config.fault_schedule(&network);
     // Reject malformed schedules up front with the typed error instead of
@@ -286,11 +309,7 @@ where
         );
     }
     dep.engine.run_to_completion();
-    let perf = dep.engine.perf();
-    let phases = dep.engine.phase_breakdown();
-    let result = collect(config, label, &dep, &faults);
-    let (_, _, _, recycled) = dep.engine.recycle();
-    (result, perf, phases, recycled)
+    (dep, faults)
 }
 
 fn collect<P: MobilityProtocol>(
@@ -299,47 +318,34 @@ fn collect<P: MobilityProtocol>(
     dep: &Deployment<P>,
     faults: &FaultSchedule,
 ) -> RunResult {
-    let published: Vec<Event> = dep.clients().flat_map(|c| c.published.clone()).collect();
     let buffered = dep.buffered_events();
 
-    // Reliability audit over every subscriber.
-    let logs: Vec<(
-        ClientId,
-        mhh_pubsub::Filter,
-        Vec<mhh_pubsub::DeliveryRecord>,
-    )> = dep
-        .clients()
-        .map(|c| (c.id, c.filter.clone(), c.received.clone()))
-        .collect();
-    let subscriber_logs: Vec<SubscriberLog<'_>> = logs
-        .iter()
-        .map(|(id, filter, recs)| SubscriberLog {
-            client: *id,
-            filter,
-            deliveries: recs,
-        })
-        .collect();
-    let audit_result = audit(&published, &subscriber_logs, &buffered);
-
-    // The per-handover ledger; the paper's aggregate metrics derive from it.
+    // One classification of every subscriber's log, straight off the
+    // deployment's own filters and logs; the audit and both ledgers are
+    // folds over it. The per-handover ledger is what the paper's aggregate
+    // metrics derive from.
     let handover_logs: Vec<ClientHandoverLog<'_>> = dep
         .clients()
-        .zip(logs.iter())
-        .map(|(c, (_, filter, recs))| ClientHandoverLog {
+        .map(|c| ClientHandoverLog {
             client: c.id,
-            filter,
+            filter: &c.filter,
             disconnects: &c.disconnects,
             reconnects: &c.reconnects,
-            deliveries: recs,
+            deliveries: &c.received,
         })
         .collect();
-    let ledger = HandoverLedger::assemble(&published, &handover_logs, &buffered);
-    let mut recovery = RecoveryLedger::assemble(
-        faults.windows(),
-        dep.engine.drops(),
-        &published,
+    let outcomes = classify_clients(
+        dep.clients().flat_map(|c| &c.published),
         &handover_logs,
         &buffered,
+    );
+    let audit_result = DeliveryAudit::from_outcomes(&outcomes);
+    let ledger = HandoverLedger::from_outcomes(&handover_logs, &outcomes);
+    let mut recovery = RecoveryLedger::from_outcomes(
+        faults.windows(),
+        dep.engine.drops(),
+        &handover_logs,
+        &outcomes,
     );
     // Reliability-layer counters live in the brokers/clients, not the drop
     // log; all zero (and Debug-invisible) unless the knobs were turned on.
@@ -384,7 +390,7 @@ fn collect<P: MobilityProtocol>(
         audit: audit_result,
         ledger,
         recovery,
-        published: published.len() as u64,
+        published: dep.clients().map(|c| c.published.len() as u64).sum(),
         delivered_messages,
         total_hops: stats.total_hops(),
         sim_duration_s: config.duration_s,
@@ -519,6 +525,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn collect_reports_what_the_set_based_accounting_reports() {
+        // `collect` classifies every log once and folds the audit and both
+        // ledgers out of that; the oracle rebuilds each from copied logs the
+        // subscriber-major way. Whole `RunResult`s must print the same, for
+        // every protocol, on the fault-free path and under a crash storm
+        // with lossy links (where losses, duplicates and outage windows all
+        // occur).
+        use crate::oracle;
+        let stormy = tiny()
+            .with_faults(crate::config::FaultPlan {
+                crash_storm: Some((3, 30.0)),
+                ..crate::config::FaultPlan::default()
+            })
+            .with_loss(0.02, 0.005);
+        let registry = ProtocolRegistry::extended();
+        assert_eq!(registry.len(), 4);
+        let mut lost = 0;
+        for cfg in [tiny(), stormy] {
+            for spec in registry.specs() {
+                let network = cfg.build_network();
+                let workload = Workload::generate_on(&cfg, &network);
+                let (dep, faults) = drive(
+                    &cfg,
+                    network.clone(),
+                    &workload,
+                    false,
+                    spec.instantiate(&cfg, &network),
+                    EngineArena::new(),
+                );
+                let published: Vec<mhh_pubsub::Event> =
+                    dep.clients().flat_map(|c| c.published.clone()).collect();
+                let buffered = dep.buffered_events();
+                let logs: Vec<ClientHandoverLog<'_>> = dep
+                    .clients()
+                    .map(|c| ClientHandoverLog {
+                        client: c.id,
+                        filter: &c.filter,
+                        disconnects: &c.disconnects,
+                        reconnects: &c.reconnects,
+                        deliveries: &c.received,
+                    })
+                    .collect();
+                let mut recovery = oracle::recovery_ledger(
+                    faults.windows(),
+                    dep.engine.drops(),
+                    &published,
+                    &logs,
+                    &buffered,
+                );
+                recovery.duplicates_suppressed = dep.duplicates_suppressed();
+                recovery.retransmissions = dep.retransmissions();
+                recovery.stale_resubscribes = dep.stale_resubscribes();
+
+                let result = run_spec(&cfg, spec);
+                let expected = RunResult {
+                    audit: oracle::audit(&published, &logs, &buffered),
+                    ledger: oracle::handover_ledger(&published, &logs, &buffered),
+                    recovery,
+                    ..result.clone()
+                };
+                assert_eq!(
+                    format!("{result:?}"),
+                    format!("{expected:?}"),
+                    "{} (faults: {})",
+                    spec.label(),
+                    !faults.is_empty()
+                );
+                assert!(result.audit.delivered > 0 && !result.ledger.is_empty());
+                assert_eq!(result.recovery.len(), faults.windows().len());
+                lost += result.audit.lost;
+            }
+        }
+        assert!(lost > 0, "the storm must cost deliveries");
     }
 
     #[test]

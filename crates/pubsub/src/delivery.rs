@@ -11,13 +11,33 @@
 //! * **out-of-order** — deliveries violating per-publisher order,
 //! * **pending** — matching events still sitting in a protocol queue
 //!   (the client simply had not reconnected yet; not a protocol fault).
+//!
+//! # One classification pass
+//!
+//! [`classify`] is the only place that decides what each subscriber should
+//! have received and what became of it; [`audit`] and the handover and
+//! recovery ledgers of the evaluation harness are folds over its
+//! per-subscriber [`SubscriberOutcome`]s. The pass is *event-major*: the
+//! subscribers' filters go into one [`FilterTable`] (the brokers' own indexed
+//! matcher), every published event is matched against it once, and each
+//! subscriber's log is then classified against a dense per-event state array
+//! (expected / seen / buffered bits, reused across subscribers by stamping
+//! each word with the subscriber's epoch) and a dense per-publisher
+//! last-sequence array. Cost is O(published × matches + deliveries) and the
+//! working memory is that one state array plus the matched event indices —
+//! where a subscriber-major audit evaluated every (subscriber, event) pair
+//! and pushed every delivery through ordered sets.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
+use std::hash::Hash;
 
-use crate::address::ClientId;
+use mhh_simnet::SimTime;
+
+use crate::address::{BrokerId, ClientId, Peer};
 use crate::client::DeliveryRecord;
 use crate::event::{Event, EventId};
 use crate::filter::Filter;
+use crate::filter_table::FilterTable;
 
 /// The result of auditing one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -45,6 +65,20 @@ impl DeliveryAudit {
         self.lost == 0 && self.duplicates == 0 && self.out_of_order == 0
     }
 
+    /// Sum a classified run into the run-level counts.
+    pub fn from_outcomes(outcomes: &[SubscriberOutcome]) -> DeliveryAudit {
+        let mut audit = DeliveryAudit::default();
+        for o in outcomes {
+            audit.expected += o.expected;
+            audit.delivered += o.delivered;
+            audit.duplicates += o.duplicates.len() as u64;
+            audit.pending += o.pending;
+            audit.lost += o.lost_published_at.len() as u64;
+            audit.out_of_order += o.out_of_order;
+        }
+        audit
+    }
+
     /// Fraction of expected deliveries that were lost.
     pub fn loss_rate(&self) -> f64 {
         if self.expected == 0 {
@@ -66,6 +100,218 @@ pub struct SubscriberLog<'a> {
     pub deliveries: &'a [DeliveryRecord],
 }
 
+/// What became of one subscriber's expected events and of its log — one
+/// entry of [`classify`]'s result.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SubscriberOutcome {
+    /// Distinct published events matching the filter, own publications
+    /// excluded (reverse path forwarding never returns an event to its
+    /// source).
+    pub expected: u64,
+    /// Expected events delivered at least once.
+    pub delivered: u64,
+    /// Expected events not delivered but still buffered for this client.
+    pub pending: u64,
+    /// First deliveries whose sequence number did not exceed the previous
+    /// first delivery from the same publisher.
+    pub out_of_order: u64,
+    /// Positions in the log of the deliveries that repeat an earlier one,
+    /// ascending.
+    pub duplicates: Vec<usize>,
+    /// Publication time of every expected event neither delivered nor
+    /// pending: real loss.
+    pub lost_published_at: Vec<SimTime>,
+}
+
+/// Per-event flags of the subscriber being classified.
+const EXPECTED: u32 = 1;
+const SEEN: u32 = 2;
+const BUFFERED: u32 = 4;
+const FLAGS: u32 = EXPECTED | SEEN | BUFFERED;
+/// The subscriber's epoch sits above the flags in a state word.
+const EPOCH_SHIFT: u32 = 3;
+
+/// One word per dense event index: the flags in the low bits, the epoch of
+/// the subscriber that wrote them above. A word from another epoch reads as
+/// no flags, so moving to the next subscriber clears nothing.
+struct EventState {
+    words: Vec<u32>,
+    epoch: u32,
+}
+
+impl EventState {
+    fn flags(&self, event: u32) -> u32 {
+        let word = self.words[event as usize];
+        if word & !FLAGS == self.epoch {
+            word & FLAGS
+        } else {
+            0
+        }
+    }
+
+    fn raise(&mut self, event: u32, flag: u32) {
+        self.words[event as usize] = self.epoch | self.flags(event) | flag;
+    }
+}
+
+/// Dense slots for the publishers named by events and logs, each holding
+/// the last sequence number first-delivered to the subscriber being
+/// classified, stamped with that subscriber's epoch like [`EventState`].
+#[derive(Default)]
+struct PublisherSlots {
+    slots: HashMap<ClientId, u32>,
+    last_seq: Vec<(u32, u64)>,
+}
+
+impl PublisherSlots {
+    fn slot(&mut self, publisher: ClientId) -> u32 {
+        let (slot, new) = intern(&mut self.slots, publisher);
+        if new {
+            self.last_seq.push((0, 0));
+        }
+        slot
+    }
+}
+
+/// The dense index of `key` — the next unused one when the key is new, which
+/// the flag reports so the caller can grow what the index addresses.
+fn intern<K: Eq + Hash>(dense: &mut HashMap<K, u32>, key: K) -> (u32, bool) {
+    let next = dense.len() as u32;
+    let index = *dense.entry(key).or_insert(next);
+    (index, index == next)
+}
+
+/// Classify a run: one [`SubscriberOutcome`] per entry of `subscribers`, in
+/// the same order. Arguments as for [`audit`]; `published` may be any
+/// iterator of events, so the caller can chain the publishers' own logs
+/// instead of copying them into one slice. An id occurring twice in
+/// `published` is one event (expected when any occurrence matches, published
+/// when the last one was); a delivered id that was never published can only
+/// be a duplicate or out of order.
+pub fn classify<'e>(
+    published: impl IntoIterator<Item = &'e Event>,
+    subscribers: &[SubscriberLog<'_>],
+    buffered: &[(ClientId, EventId)],
+) -> Vec<SubscriberOutcome> {
+    assert!(
+        subscribers.len() < (1 << (32 - EPOCH_SHIFT)),
+        "the state words keep the subscriber epoch above the flag bits"
+    );
+    // The table's peers are subscriber *slots*: targets come back as indices
+    // into `subscribers`, and two logs of one client stay two subscribers.
+    // Nothing is a hop here, so no entry is excluded as the arrival link.
+    let mut table = FilterTable::new();
+    for (slot, sub) in subscribers.iter().enumerate() {
+        table.add(Peer::Client(ClientId(slot as u32)), sub.filter.clone());
+    }
+    let arrival = Peer::Broker(BrokerId(u32::MAX));
+
+    // Event-major: match each published event once, handing its dense index
+    // to every subscriber that expects it.
+    let mut dense: HashMap<EventId, u32> = HashMap::new();
+    let mut publishers = PublisherSlots::default();
+    // Per dense index: publication time, publisher and the publisher's slot.
+    let mut origin: Vec<(SimTime, ClientId, u32)> = Vec::new();
+    let mut expected: Vec<Vec<u32>> = vec![Vec::new(); subscribers.len()];
+    for event in published {
+        let (index, new) = intern(&mut dense, event.id);
+        let of_event = (
+            event.published_at,
+            event.publisher,
+            publishers.slot(event.publisher),
+        );
+        if new {
+            origin.push(of_event);
+        } else {
+            origin[index as usize] = of_event;
+        }
+        for target in table.matching_targets(event, arrival) {
+            let Peer::Client(ClientId(slot)) = target else {
+                unreachable!("the audit table holds client entries only");
+            };
+            if subscribers[slot as usize].client != event.publisher {
+                expected[slot as usize].push(index);
+            }
+        }
+    }
+
+    // Buffered pairs grouped by client; an id nobody published is expected
+    // by nobody.
+    let mut held: Vec<(ClientId, u32)> = buffered
+        .iter()
+        .filter_map(|(client, id)| dense.get(id).map(|&index| (*client, index)))
+        .collect();
+    held.sort_unstable();
+
+    let mut state = EventState {
+        words: vec![0; origin.len()],
+        epoch: 0,
+    };
+
+    let mut outcomes = Vec::with_capacity(subscribers.len());
+    for (slot, sub) in subscribers.iter().enumerate() {
+        state.epoch = (slot as u32 + 1) << EPOCH_SHIFT;
+        let mut outcome = SubscriberOutcome::default();
+
+        let mut mine = std::mem::take(&mut expected[slot]);
+        mine.retain(|&event| {
+            let first = state.flags(event) & EXPECTED == 0;
+            state.raise(event, EXPECTED);
+            first
+        });
+        outcome.expected = mine.len() as u64;
+        let from = held.partition_point(|&(client, _)| client < sub.client);
+        for &(_, event) in held[from..]
+            .iter()
+            .take_while(|&&(client, _)| client == sub.client)
+        {
+            state.raise(event, BUFFERED);
+        }
+
+        for (position, d) in sub.deliveries.iter().enumerate() {
+            let (event, new) = intern(&mut dense, d.event);
+            if new {
+                state.words.push(0);
+            }
+            let flags = state.flags(event);
+            if flags & SEEN != 0 {
+                outcome.duplicates.push(position);
+                continue;
+            }
+            state.raise(event, SEEN);
+            outcome.delivered += u64::from(flags & EXPECTED != 0);
+            // Per-publisher ordering: the sequence numbers first-delivered
+            // from one publisher must be strictly increasing in log order.
+            // The log names the publisher itself; when it agrees with the
+            // published event, as it does in every real run, the slot is
+            // already known.
+            let publisher = match origin.get(event as usize) {
+                Some(&(_, publisher, slot)) if publisher == d.publisher => slot,
+                _ => publishers.slot(d.publisher),
+            };
+            let last = &mut publishers.last_seq[publisher as usize];
+            if last.0 == state.epoch && d.seq <= last.1 {
+                outcome.out_of_order += 1;
+            }
+            *last = (state.epoch, d.seq);
+        }
+
+        for &event in &mine {
+            let flags = state.flags(event);
+            if flags & SEEN != 0 {
+                continue;
+            }
+            if flags & BUFFERED != 0 {
+                outcome.pending += 1;
+            } else {
+                outcome.lost_published_at.push(origin[event as usize].0);
+            }
+        }
+        outcomes.push(outcome);
+    }
+    outcomes
+}
+
 /// Audit a run.
 ///
 /// * `published` — every event actually handed to a broker by a publisher;
@@ -77,63 +323,7 @@ pub fn audit(
     subscribers: &[SubscriberLog<'_>],
     buffered: &[(ClientId, EventId)],
 ) -> DeliveryAudit {
-    let mut buffered_by_client: BTreeMap<ClientId, BTreeSet<EventId>> = BTreeMap::new();
-    for (c, e) in buffered {
-        buffered_by_client.entry(*c).or_default().insert(*e);
-    }
-
-    let mut result = DeliveryAudit::default();
-
-    for sub in subscribers {
-        // What this subscriber should get: every published event matching its
-        // filter, except its own publications (reverse path forwarding never
-        // returns an event to its source).
-        let expected: BTreeSet<EventId> = published
-            .iter()
-            .filter(|e| e.publisher != sub.client && sub.filter.matches(e))
-            .map(|e| e.id)
-            .collect();
-        result.expected += expected.len() as u64;
-
-        // Count deliveries and duplicates.
-        let mut seen: BTreeSet<EventId> = BTreeSet::new();
-        for d in sub.deliveries {
-            if !seen.insert(d.event) {
-                result.duplicates += 1;
-            }
-        }
-        let delivered_expected = expected.intersection(&seen).count() as u64;
-        result.delivered += delivered_expected;
-
-        // Classify the remainder as pending or lost.
-        let empty = BTreeSet::new();
-        let buffered_here = buffered_by_client.get(&sub.client).unwrap_or(&empty);
-        for missing in expected.difference(&seen) {
-            if buffered_here.contains(missing) {
-                result.pending += 1;
-            } else {
-                result.lost += 1;
-            }
-        }
-
-        // Per-publisher ordering: the sequence numbers delivered from one
-        // publisher must be strictly increasing in delivery order.
-        let mut last_seq: BTreeMap<ClientId, u64> = BTreeMap::new();
-        let mut dup_guard: BTreeSet<EventId> = BTreeSet::new();
-        for d in sub.deliveries {
-            if !dup_guard.insert(d.event) {
-                continue; // duplicates already counted; don't double-count order
-            }
-            if let Some(&prev) = last_seq.get(&d.publisher) {
-                if d.seq <= prev {
-                    result.out_of_order += 1;
-                }
-            }
-            last_seq.insert(d.publisher, d.seq);
-        }
-    }
-
-    result
+    DeliveryAudit::from_outcomes(&classify(published, subscribers, buffered))
 }
 
 #[cfg(test)]
@@ -141,7 +331,6 @@ mod tests {
     use super::*;
     use crate::event::EventBuilder;
     use crate::filter::Op;
-    use mhh_simnet::SimTime;
 
     fn ev(id: u64, publisher: u32, seq: u64, group: i64) -> Event {
         EventBuilder::new()
@@ -231,6 +420,54 @@ mod tests {
         let a = audit(&published, &subs, &[]);
         assert_eq!(a.out_of_order, 1);
         assert!(!a.is_reliable());
+    }
+
+    #[test]
+    fn classify_locates_duplicates_and_dates_losses() {
+        let at = SimTime::from_millis;
+        let published = vec![
+            ev(1, 9, 0, 1).stamped(at(5)),
+            ev(2, 9, 1, 1).stamped(at(15)),
+            ev(3, 9, 2, 1).stamped(at(25)),
+            ev(4, 9, 3, 1).stamped(at(35)),
+        ];
+        let filter = Filter::single("group", Op::Eq, 1i64);
+        let deliveries = vec![
+            delivery(1, 9, 0, 10),
+            delivery(1, 9, 0, 20),
+            delivery(7, 9, 9, 30),
+            delivery(1, 9, 0, 40),
+        ];
+        let quiet = Filter::single("group", Op::Eq, 2i64);
+        let subs = [
+            SubscriberLog {
+                client: ClientId(0),
+                filter: &filter,
+                deliveries: &deliveries,
+            },
+            SubscriberLog {
+                client: ClientId(1),
+                filter: &quiet,
+                deliveries: &[],
+            },
+        ];
+        let outcomes = classify(&published, &subs, &[(ClientId(0), EventId(3))]);
+        assert_eq!(
+            outcomes[0],
+            SubscriberOutcome {
+                expected: 4,
+                delivered: 1,
+                pending: 1,
+                out_of_order: 0,
+                duplicates: vec![1, 3],
+                lost_published_at: vec![at(15), at(35)],
+            }
+        );
+        assert_eq!(outcomes[1], SubscriberOutcome::default());
+        assert_eq!(
+            DeliveryAudit::from_outcomes(&outcomes),
+            audit(&published, &subs, &[(ClientId(0), EventId(3))])
+        );
     }
 
     #[test]

@@ -32,7 +32,11 @@
 //!   probed;
 //! * a **duplicate map** keyed by `(peer, filter-content-hash)` and a
 //!   **per-peer position list**, making `add`'s set check, `contains`,
-//!   `filters_for` and the label helpers O(entries of that peer).
+//!   `filters_for` and the label helpers O(entries of that peer);
+//! * a dense **slot per peer** with an epoch-stamped mark, so "each peer at
+//!   most once" costs O(1) per candidate in `matching_targets` however many
+//!   peers match (the delivery audit matches against a table holding every
+//!   subscriber), and a peer already selected skips its remaining filters.
 //!
 //! Candidates coming out of the index are probed in ascending entry
 //! position — exactly the insertion order the plain linear scan used — and
@@ -270,6 +274,16 @@ impl AttrIndex {
     }
 }
 
+/// One peer's dense slot and its entry positions.
+#[derive(Clone)]
+struct PeerEntries {
+    /// Index into `TableIndex::marks`, fixed until the next index rebuild
+    /// (a peer whose entries are all removed keeps its slot).
+    slot: u32,
+    /// Ascending entry positions, for `filters_for`/`remove_peer`.
+    positions: Vec<u32>,
+}
+
 /// All incremental indexes over the entry vector.
 #[derive(Clone, Default)]
 struct TableIndex {
@@ -279,8 +293,13 @@ struct TableIndex {
     /// `(peer, filter_hash)` → positions, for O(1) duplicate/`contains`/
     /// label lookups (confirmed by real equality at the listed positions).
     dup: HashMap<(Peer, u64), Vec<u32>>,
-    /// Peer → positions, ascending, for `filters_for`/`remove_peer`.
-    by_peer: HashMap<Peer, Vec<u32>>,
+    /// Peer → its slot and positions.
+    by_peer: HashMap<Peer, PeerEntries>,
+    /// Per peer slot, the `epoch` of the last match that selected the peer.
+    marks: Vec<u32>,
+    /// Stamp of the current `matching_targets` call; never 0, the value
+    /// fresh marks hold.
+    epoch: u32,
 }
 
 /// The filter table of a broker.
@@ -289,6 +308,8 @@ pub struct FilterTable {
     entries: Vec<FilterEntry>,
     /// Tombstone flags, parallel to `entries`.
     live: Vec<bool>,
+    /// Each entry's peer slot, parallel to `entries`.
+    peer_slot: Vec<u32>,
     live_count: usize,
     index: TableIndex,
 }
@@ -326,7 +347,7 @@ impl FilterTable {
     }
 
     /// Register a (new) position in every index. The entry must already be
-    /// pushed and live.
+    /// pushed and live, with its `peer_slot` cell allocated.
     fn link(&mut self, pos: u32) {
         let e = &self.entries[pos as usize];
         let peer = e.peer;
@@ -351,7 +372,16 @@ impl FilterTable {
             Class::Scan => self.index.scan.push(pos),
         }
         self.index.dup.entry((peer, h)).or_default().push(pos);
-        self.index.by_peer.entry(peer).or_default().push(pos);
+        let next_slot = self.index.by_peer.len() as u32;
+        let of_peer = self.index.by_peer.entry(peer).or_insert_with(|| {
+            self.index.marks.push(0);
+            PeerEntries {
+                slot: next_slot,
+                positions: Vec::new(),
+            }
+        });
+        of_peer.positions.push(pos);
+        self.peer_slot[pos as usize] = of_peer.slot;
     }
 
     /// Tombstone a live position and unlink it from every index.
@@ -387,8 +417,8 @@ impl FilterTable {
                 self.index.dup.remove(&(peer, h));
             }
         }
-        if let Some(positions) = self.index.by_peer.get_mut(&peer) {
-            positions.retain(|&p| p != pos);
+        if let Some(of_peer) = self.index.by_peer.get_mut(&peer) {
+            of_peer.positions.retain(|&p| p != pos);
         }
     }
 
@@ -404,6 +434,8 @@ impl FilterTable {
             .retain(|_| *alive.next().expect("parallel vecs"));
         self.live.clear();
         self.live.resize(self.entries.len(), true);
+        self.peer_slot.clear();
+        self.peer_slot.resize(self.entries.len(), 0);
         self.live_count = self.entries.len();
         self.index = TableIndex::default();
         for pos in 0..self.entries.len() as u32 {
@@ -440,6 +472,7 @@ impl FilterTable {
             accept_only_from: label,
         });
         self.live.push(true);
+        self.peer_slot.push(0);
         self.live_count += 1;
         self.link(pos);
         true
@@ -459,8 +492,10 @@ impl FilterTable {
 
     /// Remove every entry for a peer, returning the removed filters.
     pub fn remove_peer(&mut self, peer: Peer) -> Vec<Filter> {
-        let positions = match self.index.by_peer.get(&peer) {
-            Some(positions) => positions.clone(),
+        // Taking the list (the slot stays) also spares `kill` its per-entry
+        // unlinking from it.
+        let positions = match self.index.by_peer.get_mut(&peer) {
+            Some(of_peer) => std::mem::take(&mut of_peer.positions),
             None => return Vec::new(),
         };
         let mut removed = Vec::with_capacity(positions.len());
@@ -470,7 +505,6 @@ impl FilterTable {
                 self.kill(pos);
             }
         }
-        self.index.by_peer.remove(&peer);
         self.maybe_compact();
         removed
     }
@@ -483,7 +517,8 @@ impl FilterTable {
     /// All filters registered for a peer.
     pub fn filters_for(&self, peer: Peer) -> Vec<&Filter> {
         match self.index.by_peer.get(&peer) {
-            Some(positions) => positions
+            Some(of_peer) => of_peer
+                .positions
                 .iter()
                 .filter(|&&p| self.live[p as usize])
                 .map(|&p| &self.entries[p as usize].filter)
@@ -517,10 +552,12 @@ impl FilterTable {
     /// * labeled entries only match when the event arrived from the label.
     ///
     /// Each peer is returned at most once even if several of its filters
-    /// match. Candidate entries come from the per-attribute equality maps
-    /// and interval grids plus the residual scan list; probing them in
-    /// ascending position keeps the result order identical to a plain
-    /// in-order scan of the table.
+    /// match: selecting a peer stamps its slot with this call's epoch, so
+    /// the check is O(1) per candidate and a selected peer's later entries
+    /// are not evaluated at all. Candidate entries come from the
+    /// per-attribute equality maps and interval grids plus the residual scan
+    /// list; probing them in ascending position keeps the result order
+    /// identical to a plain in-order scan of the table.
     pub fn matching_targets(&mut self, event: &Event, from: Peer) -> Vec<Peer> {
         let mut cand: Vec<u32> = self.index.scan.clone();
         for (attr, aidx) in self.index.attrs.iter_mut() {
@@ -540,6 +577,12 @@ impl FilterTable {
             }
         }
         cand.sort_unstable();
+        if self.index.epoch == u32::MAX {
+            self.index.marks.fill(0);
+            self.index.epoch = 0;
+        }
+        self.index.epoch += 1;
+        let epoch = self.index.epoch;
         let mut out: Vec<Peer> = Vec::new();
         for &pos in &cand {
             if !self.live[pos as usize] {
@@ -554,7 +597,9 @@ impl FilterTable {
                     continue;
                 }
             }
-            if e.filter.matches(event) && !out.contains(&e.peer) {
+            let mark = &mut self.index.marks[self.peer_slot[pos as usize] as usize];
+            if *mark != epoch && e.filter.matches(event) {
+                *mark = epoch;
                 out.push(e.peer);
             }
         }
@@ -836,6 +881,34 @@ mod tests {
                     reference(&t, &event, from),
                     "index diverged from linear scan"
                 );
+            }
+        }
+
+        // The audit's shape: thousands of peers that all match, some through
+        // several entries, where the per-peer "at most once" check is the
+        // cost. Order and content must still equal the in-order scan, also
+        // after removals leave marked slots behind.
+        let mut t = FilterTable::new();
+        for i in 0..2_400u32 {
+            let filter = match i % 3 {
+                0 => Filter::match_all(),
+                1 => Filter::single("price", Op::Ge, 0.0),
+                _ => f(2),
+            };
+            t.add(Peer::Client(ClientId(i % 2_000)), filter);
+        }
+        let event = EventBuilder::new()
+            .attr("group", 2i64)
+            .attr("price", 7.0)
+            .build(1, ClientId(0), 0);
+        for round in 0..3u32 {
+            for from in [B1, Peer::Client(ClientId(5)), Peer::Client(ClientId(1_999))] {
+                let got = t.matching_targets(&event, from);
+                assert!(got.len() >= 1_900 - 100 * round as usize);
+                assert_eq!(got, reference(&t, &event, from));
+            }
+            for i in 0..100 {
+                t.remove_peer(Peer::Client(ClientId(round * 100 + i)));
             }
         }
     }

@@ -14,8 +14,9 @@
 //! * `--budget-ms <N>` bounds the wall clock: protocols that cannot start
 //!   before the budget elapses are skipped and reported, never hung on;
 //! * `--engine-workers <K>` runs each simulation on the windowed parallel
-//!   engine with `K` shards — results are byte-identical to the serial
-//!   engine, so CI smokes the parallel backend with the same assertions.
+//!   engine with `K` shards (`0` is the serial engine) — results are
+//!   byte-identical to the serial engine, so CI smokes the parallel backend
+//!   with the same assertions.
 
 use std::sync::Arc;
 
@@ -26,6 +27,7 @@ use mhh_suite::mobsim::{protocols::ProtocolRegistry, scenarios, Sim};
 fn smoke(name: &str, full: bool, budget_ms: Option<u64>, engine_workers: Option<usize>) {
     let scale = if full { "full scale" } else { "reduced scale" };
     match engine_workers {
+        Some(0) => println!("=== smoke: {name} ({scale}, serial engine) ==="),
         Some(k) => println!("=== smoke: {name} ({scale}, {k}-shard parallel engine) ==="),
         None => println!("=== smoke: {name} ({scale}) ==="),
     }
