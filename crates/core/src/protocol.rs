@@ -85,18 +85,6 @@ impl Mhh {
     }
 }
 
-/// Does this broker still need events matching `filter` for any peer other
-/// than the excluded ones? Used to decide the `cancel_prev` flag of
-/// `sub_migration` (the "whether the sender will cancel the filter"
-/// indication of Section 4.1). Deliberately liberal: any related filter
-/// (covering in either direction) counts as "still needed", so entries are
-/// never deleted while some other subscriber could still depend on them.
-fn filter_needed_excluding(core: &BrokerCore, filter: &Filter, excluded: &[Peer]) -> bool {
-    core.filters.entries().any(|e| {
-        !excluded.contains(&e.peer) && (e.filter.covers(filter) || filter.covers(&e.filter))
-    })
-}
-
 /// Start an outbound subscription migration from this broker toward `dest`
 /// (this broker is the origin `Bo`).
 fn start_outbound(
@@ -119,11 +107,9 @@ fn start_outbound(
     core.filters
         .set_label(Peer::Client(client), &filter, Some(Peer::Broker(first_hop)));
     // Step 3: notify the next broker on the path.
-    let cancel_prev = !filter_needed_excluding(
-        core,
-        &filter,
-        &[Peer::Broker(first_hop), Peer::Client(client)],
-    );
+    let cancel_prev = !core
+        .filters
+        .related_to_other(&filter, &[Peer::Broker(first_hop), Peer::Client(client)]);
     ctx.send_protocol(
         first_hop,
         MhhMsg::SubMigration {
@@ -651,11 +637,9 @@ impl MobilityProtocol for Mhh {
                         });
                     }
                     ctx.send_protocol(from, MhhMsg::SubMigrationAck { client });
-                    let cancel = !filter_needed_excluding(
-                        core,
-                        &filter,
-                        &[Peer::Broker(next), Peer::Client(client)],
-                    );
+                    let cancel = !core
+                        .filters
+                        .related_to_other(&filter, &[Peer::Broker(next), Peer::Client(client)]);
                     ctx.send_protocol(
                         next,
                         MhhMsg::SubMigration {

@@ -23,7 +23,7 @@ use crate::dynproto::BoxedMsg;
 use crate::event::Event;
 use crate::event::EventId;
 use crate::filter::Filter;
-use crate::filter_table::FilterTable;
+use crate::filter_table::{FilterEntry, FilterTable};
 use crate::messages::{ConnectInfo, NetMsg, ProtocolMessage, RepairMsg};
 use crate::queue::PqId;
 use crate::repair::RepairState;
@@ -650,14 +650,13 @@ impl BrokerCore {
         if !removed {
             return;
         }
+        // What the removed filter covered, looked up once for all neighbors.
+        let mut covered: Option<Vec<&FilterEntry>> = None;
         for nb in self.neighbors() {
             if from == Peer::Broker(nb) {
                 continue;
             }
-            if self
-                .filters
-                .still_needed_by_other(&filter, Peer::Broker(nb))
-            {
+            if self.filters.covered_by_other(&filter, Peer::Broker(nb)) {
                 // Another neighbor or local client still needs events
                 // matching this filter, so the neighbor must keep sending
                 // them to us.
@@ -670,11 +669,8 @@ impl BrokerCore {
                 // the unsubscription (per-link FIFO keeps the order), or the
                 // neighbor drops the route for filters still needed here.
                 let mut repropagate: Vec<Filter> = Vec::new();
-                for e in self.filters.entries() {
-                    if e.peer != Peer::Broker(nb)
-                        && filter.covers(&e.filter)
-                        && !repropagate.contains(&e.filter)
-                    {
+                for e in covered.get_or_insert_with(|| self.filters.covered_entries(&filter)) {
+                    if e.peer != Peer::Broker(nb) && !repropagate.contains(&e.filter) {
                         repropagate.push(e.filter.clone());
                     }
                 }

@@ -45,6 +45,25 @@
 //! Removals tombstone the entry and unlink it from the indexes in O(its
 //! buckets); the vector is compacted (and the indexes rebuilt) only when
 //! dead entries outnumber live ones.
+//!
+//! The write side — the covering questions every subscription add/remove
+//! and every MHH handoff asks ([`FilterTable::covered_by_other`],
+//! [`FilterTable::covered_entries`], [`FilterTable::related_to_other`]) — is
+//! answered from the same indexes. [`Filter::covers`] is syntactic: every
+//! constraint of the coverer must be implied by a constraint of the covered
+//! filter *on the same attribute*, and a range constraint is only implied by
+//! a tighter numeric range constraint. So the entries that can cover a query
+//! `q` are the `Eq` entries pinned to the value of one of `q`'s `Eq`
+//! constraints, the interval entries whose bounds contain `q`'s bounds on
+//! their attribute, and the residual scan list; the entries `q` can cover
+//! are — for a single-attribute `q` — the `Eq` entries of its attribute, the
+//! interval entries inside its bounds, and again the scan list. Each
+//! attribute's interval list carries the entry's `[lo, hi]` beside its
+//! position, so an interval entry is ruled out by two float comparisons
+//! without touching its filter; what survives is confirmed with the real
+//! `covers`, in ascending position where the order is visible (subscription
+//! re-propagation). A second differential property test pins all three
+//! queries to the linear walk they replaced.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -140,6 +159,22 @@ fn filter_hash(filter: &Filter) -> u64 {
     h
 }
 
+/// Tighten `[lo, hi]` by one numeric range constraint (`Eq` pins both
+/// ends). Returns `false`, leaving the bounds alone, for any other operator.
+/// `f64::max`/`min` ignore a NaN operand, so bounds are never NaN.
+fn narrow(lo: &mut f64, hi: &mut f64, op: Op, v: f64) -> bool {
+    match op {
+        Op::Ge | Op::Gt => *lo = lo.max(v),
+        Op::Le | Op::Lt => *hi = hi.min(v),
+        Op::Eq => {
+            *lo = lo.max(v);
+            *hi = hi.min(v);
+        }
+        _ => return false,
+    }
+    true
+}
+
 /// The numeric interval `[lo, hi]` that over-approximates a filter whose
 /// constraints all bound one attribute: any event value satisfying the
 /// filter lies inside it (boundaries included — `Gt`/`Lt` only shrink the
@@ -156,17 +191,27 @@ fn as_interval(filter: &Filter) -> Option<(&str, f64, f64)> {
             Some(a) if a == c.attr => {}
             Some(_) => return None,
         }
-        match c.op {
-            Op::Ge | Op::Gt => lo = lo.max(v),
-            Op::Le | Op::Lt => hi = hi.min(v),
-            Op::Eq => {
-                lo = lo.max(v);
-                hi = hi.min(v);
-            }
-            _ => return None,
+        if !narrow(&mut lo, &mut hi, c.op, v) {
+            return None;
         }
     }
     attr.map(|a| (a, lo, hi))
+}
+
+/// The bounds `filter`'s numeric range constraints put on `attr`; every
+/// other constraint is ignored. Only such a constraint can imply a range
+/// constraint (see [`Constraint::implies`](crate::filter::Constraint::implies)),
+/// so an interval entry `[lo', hi']` on `attr` can cover `filter` only when
+/// `lo' <= lo && hi <= hi'`, and be covered by it only when
+/// `lo <= lo' && hi' <= hi` — also when either interval is empty.
+fn bounds_on(filter: &Filter, attr: &str) -> (f64, f64) {
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    for c in filter.constraints.iter().filter(|c| c.attr == attr) {
+        if let Some(v) = c.value.as_f64() {
+            narrow(&mut lo, &mut hi, c.op, v);
+        }
+    }
+    (lo, hi)
 }
 
 /// How an entry is registered in the index (recomputed from the filter, so
@@ -220,40 +265,41 @@ impl Grid {
     }
 }
 
+/// One interval entry of an attribute: its position and the bounds
+/// [`as_interval`] gave it, kept so the covering queries can discard an
+/// entry on two float comparisons without touching its filter.
+#[derive(Clone, Copy)]
+struct Span {
+    lo: f64,
+    hi: f64,
+    pos: u32,
+}
+
 /// Per-attribute index: the equality map plus the interval entries and
 /// their lazily-built grid.
 #[derive(Clone, Default)]
 struct AttrIndex {
     eq: HashMap<ValueKey, Vec<u32>>,
-    /// Every interval entry of this attribute (master list; the grid is
-    /// derived from it and rebuilt lazily after being dropped).
-    intervals: Vec<u32>,
+    /// Every live interval entry of this attribute in ascending position
+    /// (master list; the grid is derived from it and rebuilt lazily after
+    /// being dropped).
+    intervals: Vec<Span>,
     grid: Option<Grid>,
 }
 
 impl AttrIndex {
-    /// The grid, built on first use from the live interval entries.
-    fn grid_mut(&mut self, entries: &[FilterEntry], live: &[bool]) -> &mut Grid {
-        if self.grid.is_none() {
-            let mut spans: Vec<(u32, f64, f64)> = Vec::with_capacity(self.intervals.len());
+    /// The grid, built on first use from the interval entries.
+    fn grid_mut(&mut self) -> &mut Grid {
+        let intervals = &self.intervals;
+        self.grid.get_or_insert_with(|| {
             let (mut dom_lo, mut dom_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &pos in &self.intervals {
-                if !live[pos as usize] {
-                    continue;
-                }
-                let (_, lo, hi) = as_interval(&entries[pos as usize].filter)
-                    .expect("interval entries re-classify as intervals");
-                spans.push((pos, lo, hi));
-                if lo.is_finite() {
-                    dom_lo = dom_lo.min(lo);
-                    dom_hi = dom_hi.max(lo);
-                }
-                if hi.is_finite() {
-                    dom_lo = dom_lo.min(hi);
-                    dom_hi = dom_hi.max(hi);
+            for bound in intervals.iter().flat_map(|s| [s.lo, s.hi]) {
+                if bound.is_finite() {
+                    dom_lo = dom_lo.min(bound);
+                    dom_hi = dom_hi.max(bound);
                 }
             }
-            let buckets = spans.len().clamp(1, 512);
+            let buckets = intervals.len().clamp(1, 512);
             let span = (dom_hi - dom_lo).max(f64::MIN_POSITIVE);
             let mut grid = Grid {
                 lo: if dom_lo.is_finite() { dom_lo } else { 0.0 },
@@ -265,12 +311,11 @@ impl AttrIndex {
                 buckets: vec![Vec::new(); buckets],
             };
             // Ascending positions per bucket: `intervals` is ascending.
-            for (pos, lo, hi) in spans {
-                grid.insert(pos, lo, hi);
+            for s in intervals {
+                grid.insert(s.pos, s.lo, s.hi);
             }
-            self.grid = Some(grid);
-        }
-        self.grid.as_mut().expect("just built")
+            grid
+        })
     }
 }
 
@@ -364,7 +409,7 @@ impl FilterTable {
                 .push(pos),
             Class::Interval(attr, lo, hi) => {
                 let aidx = self.index.attrs.entry(attr).or_default();
-                aidx.intervals.push(pos);
+                aidx.intervals.push(Span { lo, hi, pos });
                 if let Some(grid) = aidx.grid.as_mut() {
                     grid.insert(pos, lo, hi);
                 }
@@ -403,7 +448,10 @@ impl FilterTable {
             }
             Class::Interval(attr, lo, hi) => {
                 if let Some(aidx) = self.index.attrs.get_mut(&attr) {
-                    aidx.intervals.retain(|&p| p != pos);
+                    // Ascending positions: find the span instead of scanning.
+                    if let Ok(i) = aidx.intervals.binary_search_by_key(&pos, |s| s.pos) {
+                        aidx.intervals.remove(i);
+                    }
                     if let Some(grid) = aidx.grid.as_mut() {
                         grid.remove(pos, lo, hi);
                     }
@@ -571,7 +619,7 @@ impl FilterTable {
             }
             if !aidx.intervals.is_empty() {
                 if let Some(v) = value.as_f64() {
-                    let grid = aidx.grid_mut(&self.entries, &self.live);
+                    let grid = aidx.grid_mut();
                     cand.extend_from_slice(&grid.buckets[grid.bucket_of(v)]);
                 }
             }
@@ -609,29 +657,124 @@ impl FilterTable {
     /// Is there an entry from a peer other than `except` whose filter covers
     /// `filter`? Used by the covering optimisation to decide whether a new
     /// subscription needs to be propagated to a neighbor, and whether an
-    /// unsubscription may be suppressed.
+    /// unsubscription may be suppressed (labels are ignored).
     pub fn covered_by_other(&self, filter: &Filter, except: Peer) -> bool {
-        self.entries()
-            .any(|e| e.peer != except && e.filter.covers(filter))
+        self.any_coverer(filter, &[except])
     }
 
-    /// Is there an entry from a peer other than `except` whose filter equals
-    /// or covers `filter`, *ignoring* labels? Used when deciding whether an
-    /// unsubscription must be forwarded.
-    pub fn still_needed_by_other(&self, filter: &Filter, except: Peer) -> bool {
-        self.covered_by_other(filter, except)
+    /// Is there an entry of a peer outside `excluded` whose filter covers
+    /// `filter`? Every constraint of a coverer is implied by a constraint
+    /// of `filter` on the same attribute, so outside the residual scan list
+    /// a coverer is an `Eq` entry pinned to the value of one of `filter`'s
+    /// `Eq` constraints, or an interval entry containing `filter`'s bounds
+    /// on its attribute.
+    fn any_coverer(&self, filter: &Filter, excluded: &[Peer]) -> bool {
+        let hit = |pos: u32| {
+            let e = &self.entries[pos as usize];
+            !excluded.contains(&e.peer) && covers(&e.filter, filter)
+        };
+        if self.index.scan.iter().any(|&p| hit(p)) {
+            return true;
+        }
+        for (i, c) in filter.constraints.iter().enumerate() {
+            let Some(aidx) = self.index.attrs.get(&c.attr) else {
+                continue;
+            };
+            if c.op == Op::Eq {
+                if let Some(pinned) = aidx.eq.get(&ValueKey::of(&c.value)) {
+                    if pinned.iter().any(|&p| hit(p)) {
+                        return true;
+                    }
+                }
+            }
+            // The interval list once per attribute, at its first constraint.
+            if aidx.intervals.is_empty() || filter.constraints[..i].iter().any(|d| d.attr == c.attr)
+            {
+                continue;
+            }
+            let (lo, hi) = bounds_on(filter, &c.attr);
+            let mut containing = aidx.intervals.iter().filter(|s| s.lo <= lo && hi <= s.hi);
+            if containing.any(|s| hit(s.pos)) {
+                return true;
+            }
+        }
+        false
     }
 
-    /// All client peers that currently have at least one entry.
-    pub fn client_peers(&self) -> Vec<Peer> {
-        let mut out = Vec::new();
+    /// Every entry whose filter `filter` covers, in insertion order. Each
+    /// constraint of `filter` is implied by a constraint of such an entry on
+    /// the same attribute, so outside the residual scan list only a
+    /// single-attribute `filter` covers anything: `Eq` entries of its
+    /// attribute and interval entries inside its bounds. (Match-all covers
+    /// the whole table.)
+    pub fn covered_entries(&self, filter: &Filter) -> Vec<&FilterEntry> {
+        let Some((first, rest)) = filter.constraints.split_first() else {
+            return self.entries().collect();
+        };
+        let mut cand = self.index.scan.clone();
+        if let Some(aidx) = self.index.attrs.get(&first.attr) {
+            if rest.iter().all(|c| c.attr == first.attr) {
+                match filter.constraints.iter().find(|c| c.op == Op::Eq) {
+                    Some(c) => {
+                        cand.extend(aidx.eq.get(&ValueKey::of(&c.value)).into_iter().flatten())
+                    }
+                    None => cand.extend(aidx.eq.values().flatten()),
+                }
+                let (lo, hi) = bounds_on(filter, &first.attr);
+                let inside = aidx.intervals.iter().filter(|s| lo <= s.lo && s.hi <= hi);
+                cand.extend(inside.map(|s| s.pos));
+            }
+        }
+        cand.sort_unstable();
+        cand.into_iter()
+            .map(|p| &self.entries[p as usize])
+            .filter(|e| covers(filter, &e.filter))
+            .collect()
+    }
+
+    /// Does this broker still need events matching `filter` for any peer
+    /// outside `excluded`? Decides the `cancel_prev` flag of MHH's
+    /// `sub_migration` (the "whether the sender will cancel the filter"
+    /// indication of Section 4.1). Deliberately liberal: any related filter
+    /// (covering in either direction) counts as "still needed", so entries
+    /// are never deleted while some other subscriber could still depend on
+    /// them.
+    pub fn related_to_other(&self, filter: &Filter, excluded: &[Peer]) -> bool {
+        self.any_coverer(filter, excluded)
+            || self
+                .covered_entries(filter)
+                .iter()
+                .any(|e| !excluded.contains(&e.peer))
+    }
+
+    /// Every distinct filter with at least one entry, in first-seen order.
+    pub fn distinct_filters(&self) -> Vec<Filter> {
+        let mut out: Vec<Filter> = Vec::new();
+        // Content hash → indices into `out`, confirmed by real equality.
+        let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
         for e in self.entries() {
-            if matches!(e.peer, Peer::Client(_)) && !out.contains(&e.peer) {
-                out.push(e.peer);
+            let same_hash = seen.entry(filter_hash(&e.filter)).or_default();
+            if !same_hash.iter().any(|&i| out[i] == e.filter) {
+                same_hash.push(out.len());
+                out.push(e.filter.clone());
             }
         }
         out
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `Filter::covers` evaluations made by the covering queries on this
+    /// thread, for the cost test.
+    static COVER_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `wide.covers(narrow)` as the covering queries evaluate it.
+fn covers(wide: &Filter, narrow: &Filter) -> bool {
+    #[cfg(test)]
+    COVER_PROBES.with(|n| n.set(n.get() + 1));
+    wide.covers(narrow)
 }
 
 #[cfg(test)]
@@ -725,7 +868,7 @@ mod tests {
         let removed = t.remove_peer(C1);
         assert_eq!(removed.len(), 2);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.client_peers(), Vec::<Peer>::new());
+        assert!(t.filters_for(C1).is_empty());
     }
 
     #[test]
@@ -910,6 +1053,145 @@ mod tests {
             for i in 0..100 {
                 t.remove_peer(Peer::Client(ClientId(round * 100 + i)));
             }
+        }
+    }
+
+    /// Differential check of the write side: the three covering queries
+    /// must answer exactly what a linear walk over the entries answers —
+    /// query (2) in the same order — across mixed tables, interleaved
+    /// `add` / `remove` / `remove_peer` / compaction, and with the interval
+    /// grid absent as well as built.
+    #[test]
+    fn indexed_covering_equals_linear_scan() {
+        use mhh_simnet::random::DetRng;
+
+        fn check(t: &FilterTable, queries: &[Filter], excluded: &[Peer]) {
+            for q in queries {
+                assert_eq!(
+                    t.covered_by_other(q, excluded[0]),
+                    t.entries()
+                        .any(|e| e.peer != excluded[0] && e.filter.covers(q)),
+                    "covered_by_other({q}) diverged"
+                );
+                let covered: Vec<&FilterEntry> =
+                    t.entries().filter(|e| q.covers(&e.filter)).collect();
+                assert_eq!(
+                    t.covered_entries(q),
+                    covered,
+                    "covered_entries({q}) diverged"
+                );
+                assert_eq!(
+                    t.related_to_other(q, excluded),
+                    t.entries().any(|e| !excluded.contains(&e.peer)
+                        && (e.filter.covers(q) || q.covers(&e.filter))),
+                    "related_to_other({q}) diverged"
+                );
+            }
+            let mut distinct: Vec<Filter> = Vec::new();
+            for e in t.entries() {
+                if !distinct.contains(&e.filter) {
+                    distinct.push(e.filter.clone());
+                }
+            }
+            assert_eq!(t.distinct_filters(), distinct);
+        }
+
+        let mut rng = DetRng::new(0xc0fe_71de);
+        let peer = |rng: &mut DetRng| -> Peer {
+            if rng.index(2) == 0 {
+                Peer::Broker(BrokerId(rng.index(4) as u32))
+            } else {
+                Peer::Client(ClientId(rng.index(6) as u32))
+            }
+        };
+        // Bounds on a coarse lattice so that containment is common.
+        let filt = |rng: &mut DetRng| -> Filter {
+            let x = rng.index(8) as f64 * 5.0;
+            let w = (1 + rng.index(3)) as f64 * 5.0;
+            let k = rng.index(4) as i64;
+            match rng.index(14) {
+                0 => f(k),
+                1 => Filter::single("group", Op::Eq, k as f64),
+                2 => Filter::single("v", Op::Ge, x).and("v", Op::Lt, x + w),
+                3 => Filter::single("v", Op::Ge, x).and("v", Op::Le, x + w),
+                4 => Filter::single("v", Op::Ge, x + w).and("v", Op::Le, x - 1.0),
+                5 => f(k).and("v", Op::Ge, x),
+                6 => Filter::single("group", Op::Ne, k),
+                7 => Filter::single("sym", Op::Prefix, ["A", "AC", "ACME"][rng.index(3)]),
+                8 => Filter::single("v", Op::Exists, 0i64),
+                9 => Filter::match_all(),
+                10 => Filter::single("v", [Op::Ge, Op::Gt, Op::Le, Op::Lt][rng.index(4)], x),
+                11 => Filter::single("v", Op::Eq, x),
+                12 => Filter::single("v", Op::Eq, x as i64).and("v", Op::Gt, x - w),
+                _ => Filter::single("v", Op::Gt, x).and("group", Op::Ne, k),
+            }
+        };
+        let mut compactions = 0;
+        for _ in 0..12 {
+            let mut t = FilterTable::new();
+            for _ in 0..400 {
+                let slots = t.entries.len();
+                match rng.index(8) {
+                    0..=3 => {
+                        let label = (rng.index(4) == 0).then(|| peer(&mut rng));
+                        t.add_labeled(peer(&mut rng), filt(&mut rng), label);
+                    }
+                    4..=6 if !t.is_empty() => {
+                        let e = t.entries().nth(rng.index(t.len())).expect("in range");
+                        let (p, filter) = (e.peer, e.filter.clone());
+                        assert!(t.remove(p, &filter));
+                    }
+                    _ => {
+                        t.remove_peer(peer(&mut rng));
+                    }
+                }
+                compactions += usize::from(t.entries.len() < slots);
+                let queries: Vec<Filter> = (0..4).map(|_| filt(&mut rng)).collect();
+                let excluded = [peer(&mut rng), peer(&mut rng)];
+                check(&t, &queries, &excluded);
+                if rng.index(4) == 0 {
+                    // Builds the grids (dropped again by the next compaction).
+                    let event = EventBuilder::new()
+                        .attr("group", rng.index(4) as i64)
+                        .attr("v", rng.index(50) as f64)
+                        .build(1, ClientId(0), 0);
+                    t.matching_targets(&event, B1);
+                    check(&t, &queries, &excluded);
+                }
+            }
+        }
+        assert!(compactions >= 12, "compaction exercised ({compactions})");
+    }
+
+    /// The point of the covering index, as a count rather than a time: on
+    /// the evaluation workload's shape (distinct windows of 6.25 %
+    /// selectivity) a `covered_by_other` that finds nothing evaluates
+    /// `covers` on at most 15 % of the entries.
+    #[test]
+    fn missing_coverer_probes_a_fraction_of_the_table() {
+        const N: u32 = 2_048;
+        let window = |i: u32| {
+            let lo = i as f64 / N as f64;
+            Filter::single("v", Op::Ge, lo).and("v", Op::Lt, lo + 0.0625)
+        };
+        let mut t = FilterTable::new();
+        for i in 0..N {
+            t.add(Peer::Client(ClientId(i)), window(i));
+        }
+        for round in 0..2 {
+            for i in (0..N).step_by(97) {
+                let before = COVER_PROBES.with(|n| n.get());
+                assert!(!t.covered_by_other(&window(i), Peer::Client(ClientId(i))));
+                let probes = COVER_PROBES.with(|n| n.get()) - before;
+                assert!(
+                    probes * 100 <= N as usize * 15,
+                    "{probes} covers() calls for one miss (round {round})"
+                );
+                assert!(t.covered_by_other(&window(i), B1), "covers itself");
+            }
+            // Second round with the interval grid built.
+            let e = EventBuilder::new().attr("v", 0.5).build(1, ClientId(0), 0);
+            assert_eq!(t.matching_targets(&e, B1).len(), 128);
         }
     }
 }

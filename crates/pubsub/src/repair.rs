@@ -120,13 +120,7 @@ impl BrokerCore {
     /// Every distinct filter this broker still has at least one entry for —
     /// the set of filters it must keep receiving matching events for.
     pub fn needed_filters(&self) -> Vec<Filter> {
-        let mut out: Vec<Filter> = Vec::new();
-        for e in self.filters.entries() {
-            if !out.contains(&e.filter) {
-                out.push(e.filter.clone());
-            }
-        }
-        out
+        self.filters.distinct_filters()
     }
 
     /// The deterministic detour hub for a dead broker: its lowest-id tree
