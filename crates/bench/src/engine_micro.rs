@@ -1,8 +1,6 @@
-//! Shared micro-workloads for measuring raw engine throughput — the same
-//! scenarios runnable on both the overhauled [`Engine`] and the
-//! pre-overhaul [`ReferenceEngine`] baseline, so `micro_engine` and the
-//! `BENCH_engine.json` trajectory always report a *measured* old-vs-new
-//! speedup on the current machine instead of a stale number.
+//! Micro-workloads for measuring raw [`Engine`] throughput, timed by the
+//! `mhh-benchmark` package. The tests run the same node sets on the
+//! pre-overhaul `ReferenceEngine` and require identical delivery counts.
 //!
 //! Two workloads:
 //!
@@ -20,12 +18,12 @@
 use std::sync::Arc;
 
 use mhh_simnet::{
-    Context, Engine, Envelope, Message, Node, NodeId, ReferenceEngine, SimDuration, SimTime,
-    TrafficClass, UniformFabric,
+    Context, Engine, Envelope, Message, Node, NodeId, SimDuration, SimTime, TrafficClass,
+    UniformFabric,
 };
 
 /// Micro-workload message. The payload pads the envelope to a realistic
-/// protocol-message size so heap moves on the old path are honestly priced.
+/// protocol-message size so queue moves are honestly priced.
 #[derive(Debug, Clone)]
 pub enum MicroMsg {
     /// Ring token (hop counter plus padding).
@@ -145,7 +143,7 @@ fn fabric() -> Arc<UniformFabric> {
     Arc::new(UniformFabric::new(SimDuration::from_millis(1)))
 }
 
-/// Run the ring workload on the overhauled engine; returns deliveries.
+/// Run the ring workload; returns deliveries.
 pub fn ring_new(n: u32, messages: u64) -> u64 {
     let mut eng = Engine::new(ring_nodes(n, messages), fabric());
     eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Token(0, [0; 4]));
@@ -153,15 +151,7 @@ pub fn ring_new(n: u32, messages: u64) -> u64 {
     eng.deliveries()
 }
 
-/// Run the ring workload on the pre-overhaul reference engine.
-pub fn ring_reference(n: u32, messages: u64) -> u64 {
-    let mut eng = ReferenceEngine::new(ring_nodes(n, messages), fabric());
-    eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Token(0, [0; 4]));
-    eng.run_to_completion();
-    eng.deliveries()
-}
-
-/// Run the burst workload on the overhauled engine; returns deliveries.
+/// Run the burst workload; returns deliveries.
 pub fn burst_new(workers: u32, rounds: u32, fanout: u32) -> u64 {
     let mut eng = Engine::new(burst_nodes(workers, rounds, fanout), fabric());
     eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Tick(0));
@@ -169,32 +159,24 @@ pub fn burst_new(workers: u32, rounds: u32, fanout: u32) -> u64 {
     eng.deliveries()
 }
 
-/// Run the burst workload on the pre-overhaul reference engine.
-pub fn burst_reference(workers: u32, rounds: u32, fanout: u32) -> u64 {
-    let mut eng = ReferenceEngine::new(burst_nodes(workers, rounds, fanout), fabric());
-    eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Tick(0));
-    eng.run_to_completion();
-    eng.deliveries()
-}
-
-/// Time `f` (which returns a delivery count): best of `tries` after one
-/// warm-up, as `(deliveries, best_wall_seconds)`.
-pub fn measure(tries: u32, mut f: impl FnMut() -> u64) -> (u64, f64) {
-    let deliveries = f(); // warm-up, also pins the expected count
-    let mut best = f64::INFINITY;
-    for _ in 0..tries.max(1) {
-        let t = std::time::Instant::now();
-        let d = f();
-        let dt = t.elapsed().as_secs_f64();
-        assert_eq!(d, deliveries, "micro workloads are deterministic");
-        best = best.min(dt);
-    }
-    (deliveries, best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhh_simnet::ReferenceEngine;
+
+    fn ring_reference(n: u32, messages: u64) -> u64 {
+        let mut eng = ReferenceEngine::new(ring_nodes(n, messages), fabric());
+        eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Token(0, [0; 4]));
+        eng.run_to_completion();
+        eng.deliveries()
+    }
+
+    fn burst_reference(workers: u32, rounds: u32, fanout: u32) -> u64 {
+        let mut eng = ReferenceEngine::new(burst_nodes(workers, rounds, fanout), fabric());
+        eng.schedule_external(SimTime::ZERO, NodeId(0), MicroMsg::Tick(0));
+        eng.run_to_completion();
+        eng.deliveries()
+    }
 
     #[test]
     fn both_engines_deliver_the_same_counts() {
@@ -204,12 +186,5 @@ mod tests {
         // ack) + the dispatcher's tick deliveries.
         let d = burst_new(32, 20, 64);
         assert_eq!(d, 20 * 64 * 2 + 20);
-    }
-
-    #[test]
-    fn measure_reports_consistent_deliveries() {
-        let (d, secs) = measure(2, || ring_new(8, 2_000));
-        assert!(d >= 2_000);
-        assert!(secs > 0.0);
     }
 }

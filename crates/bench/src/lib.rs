@@ -1,48 +1,12 @@
-//! # mhh-bench — shared configuration for the benchmark harness
+//! # mhh-bench — engine micro-workloads
 //!
-//! One Criterion bench target exists per panel of the paper's evaluation
-//! figures (5a, 5b, 6a, 6b) plus micro-benchmarks of the substrates. The
-//! figure benches run *scaled-down* scenarios (smaller grid, fewer clients,
-//! shorter simulated time) so a Criterion run finishes in minutes; the
-//! full-size sweeps are produced by `cargo run --release --example
-//! reproduce_figures`, which uses `ScenarioConfig::paper_defaults()`.
+//! The two raw-engine kernels ([`engine_micro`]: a token ring and a
+//! dispatcher/worker burst) that the repository's benchmark package
+//! (`mhh-benchmark/`, declared by `BENCHMARK.json` at the root) times for
+//! its `simnet.engine.*_events_per_s` layer metrics. End-to-end numbers come
+//! from that package; nothing is measured here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mhh_mobsim::ScenarioConfig;
-
 pub mod engine_micro;
-
-/// The scaled-down base scenario used by the figure benches.
-pub fn bench_base() -> ScenarioConfig {
-    ScenarioConfig {
-        grid_side: 5,
-        clients_per_broker: 4,
-        mobile_fraction: 0.25,
-        conn_mean_s: 30.0,
-        disc_mean_s: 60.0,
-        publish_interval_s: 10.0,
-        duration_s: 300.0,
-        seed: 2007,
-        ..ScenarioConfig::paper_defaults()
-    }
-}
-
-/// Connection-period values swept by the Figure 5 benches (seconds).
-pub const BENCH_FIG5_CONN_S: [f64; 3] = [1.0, 30.0, 300.0];
-
-/// Grid side lengths swept by the Figure 6 benches.
-pub const BENCH_FIG6_SIDES: [usize; 3] = [4, 6, 8];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_base_is_small_enough_to_iterate() {
-        let b = bench_base();
-        assert!(b.broker_count() <= 36);
-        assert!(b.client_count() <= 200);
-    }
-}

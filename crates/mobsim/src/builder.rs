@@ -33,10 +33,7 @@ use mhh_mobility::ModelKind;
 use mhh_simnet::TopologyKind;
 
 use crate::config::ScenarioConfig;
-use crate::experiments::{
-    figure5_budgeted_in, figure6_budgeted_in, mobility_matrix_budgeted_in,
-    proclaimed_comparison_budgeted_in, FigureResult, MatrixResult, ProclaimedCompareResult,
-};
+use crate::experiments::{self, Panel, Sweep};
 use crate::metrics::RunResult;
 use crate::protocols::ProtocolRegistry;
 use crate::runner::run_spec;
@@ -129,26 +126,16 @@ impl Sim {
     /// Start from a named preset of the scenario registry. An unknown name
     /// is reported by the terminal `run`/sweep call, not here.
     pub fn scenario(name: &str) -> SimBuilder {
-        SimBuilder {
-            config: scenarios::find(name)
+        SimBuilder::new(
+            scenarios::find(name)
                 .map(|s| s.config)
                 .ok_or_else(|| SimError::unknown_scenario(name)),
-            protocol: "mhh".to_string(),
-            workers: None,
-            registry: None,
-            budget: None,
-        }
+        )
     }
 
     /// Start from an explicit configuration.
     pub fn config(config: ScenarioConfig) -> SimBuilder {
-        SimBuilder {
-            config: Ok(config),
-            protocol: "mhh".to_string(),
-            workers: None,
-            registry: None,
-            budget: None,
-        }
+        SimBuilder::new(Ok(config))
     }
 }
 
@@ -167,6 +154,16 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
+    fn new(config: Result<ScenarioConfig, SimError>) -> Self {
+        SimBuilder {
+            config,
+            protocol: "mhh".to_string(),
+            workers: None,
+            registry: None,
+            budget: None,
+        }
+    }
+
     /// Select the protocol by registry name (default `"mhh"`).
     pub fn protocol(mut self, name: impl Into<String>) -> Self {
         self.protocol = name.into();
@@ -367,14 +364,17 @@ impl SimBuilder {
         }
     }
 
-    fn registry_in_use(&self) -> ProtocolRegistry {
-        self.registry
-            .clone()
-            .unwrap_or_else(ProtocolRegistry::global)
-    }
-
-    fn workers_in_use(&self) -> usize {
-        self.workers.unwrap_or_else(available_workers)
+    /// What every terminal call starts from: the configuration (or the
+    /// lookup error the chain carried) and how to execute — this builder's
+    /// registry, worker count and budget where set, [`Sweep::default`]'s
+    /// otherwise.
+    fn resolve(self) -> Result<(ScenarioConfig, Sweep), SimError> {
+        let sweep = Sweep {
+            registry: self.registry.unwrap_or_else(ProtocolRegistry::global),
+            workers: self.workers.unwrap_or_else(available_workers),
+            budget: self.budget,
+        };
+        Ok((self.config?, sweep))
     }
 
     /// The fully-resolved configuration (mainly for inspection and tests).
@@ -384,11 +384,11 @@ impl SimBuilder {
 
     /// Run the configured scenario with the selected protocol.
     pub fn run(self) -> Result<RunResult, SimError> {
-        let registry = self.registry_in_use();
-        let config = self.config?;
+        let protocol = self.protocol.clone();
+        let (config, Sweep { registry, .. }) = self.resolve()?;
         let spec = registry
-            .find(&self.protocol)
-            .ok_or_else(|| SimError::unknown_protocol(&self.protocol, &registry))?;
+            .find(&protocol)
+            .ok_or_else(|| SimError::unknown_protocol(&protocol, &registry))?;
         Ok(run_spec(&config, spec))
     }
 
@@ -414,12 +414,11 @@ impl SimBuilder {
     /// of the `city-scale` stress preset runs through this, so a slow
     /// machine degrades to fewer protocols instead of a hung job.
     pub fn run_all_budgeted(self) -> Result<(Vec<RunResult>, Vec<String>), SimError> {
-        let registry = self.registry_in_use();
-        let workers = self.workers_in_use();
-        let budget = self.budget;
-        let config = self.config?;
-        let specs: Vec<_> = registry.specs().to_vec();
-        let map = map_parallel_budgeted(&specs, workers, budget, |spec| run_spec(&config, spec));
+        let (config, sweep) = self.resolve()?;
+        let specs = sweep.registry.specs();
+        let map = map_parallel_budgeted(specs, sweep.workers, sweep.budget, |spec| {
+            run_spec(&config, spec)
+        });
         let skipped = map
             .skipped
             .iter()
@@ -431,44 +430,25 @@ impl SimBuilder {
     /// Run the Figure 5 sweep (connection-period lengths × every registered
     /// protocol) on top of this configuration, honouring any
     /// [`budget_ms`](Self::budget_ms).
-    pub fn figure5(self, conn_periods_s: &[f64]) -> Result<FigureResult, SimError> {
-        let registry = self.registry_in_use();
-        let workers = self.workers_in_use();
-        let budget = self.budget;
-        let config = self.config?;
-        Ok(figure5_budgeted_in(
-            &registry,
-            &config,
-            conn_periods_s,
-            workers,
-            budget,
-        ))
+    pub fn figure5(self, conn_periods_s: &[f64]) -> Result<Panel, SimError> {
+        let (config, sweep) = self.resolve()?;
+        Ok(experiments::figure5(&config, conn_periods_s, &sweep))
     }
 
     /// Run the Figure 6 sweep (grid sizes × every registered protocol) on
     /// top of this configuration, honouring any
     /// [`budget_ms`](Self::budget_ms).
-    pub fn figure6(self, grid_sides: &[usize]) -> Result<FigureResult, SimError> {
-        let registry = self.registry_in_use();
-        let workers = self.workers_in_use();
-        let budget = self.budget;
-        let config = self.config?;
-        Ok(figure6_budgeted_in(
-            &registry, &config, grid_sides, workers, budget,
-        ))
+    pub fn figure6(self, grid_sides: &[usize]) -> Result<Panel, SimError> {
+        let (config, sweep) = self.resolve()?;
+        Ok(experiments::figure6(&config, grid_sides, &sweep))
     }
 
     /// Run the mobility-model × protocol matrix: every given model
     /// parameter point against every registered protocol, honouring any
     /// [`budget_ms`](Self::budget_ms).
-    pub fn matrix(self, models: &[ModelKind]) -> Result<MatrixResult, SimError> {
-        let registry = self.registry_in_use();
-        let workers = self.workers_in_use();
-        let budget = self.budget;
-        let config = self.config?;
-        Ok(mobility_matrix_budgeted_in(
-            &registry, &config, models, workers, budget,
-        ))
+    pub fn matrix(self, models: &[ModelKind]) -> Result<Panel, SimError> {
+        let (config, sweep) = self.resolve()?;
+        Ok(experiments::mobility_matrix(&config, models, &sweep))
     }
 
     /// Run the reactive-vs-proclaimed comparison (§4.2 vs §4.1): every
@@ -476,14 +456,9 @@ impl SimBuilder {
     /// `proclaimed_fraction = 0.0` and once with `1.0`, honouring any
     /// [`budget_ms`](Self::budget_ms) (a pair whose halves cannot both
     /// complete is dropped and recorded as skipped).
-    pub fn compare_proclaimed(self) -> Result<ProclaimedCompareResult, SimError> {
-        let registry = self.registry_in_use();
-        let workers = self.workers_in_use();
-        let budget = self.budget;
-        let config = self.config?;
-        Ok(proclaimed_comparison_budgeted_in(
-            &registry, &config, workers, budget,
-        ))
+    pub fn compare_proclaimed(self) -> Result<Panel, SimError> {
+        let (config, sweep) = self.resolve()?;
+        Ok(experiments::proclaimed_comparison(&config, &sweep))
     }
 }
 

@@ -11,8 +11,8 @@ use mhh_simnet::{
     TopologyKind,
 };
 
-/// Which of the paper's three protocols to run on the generic fast path
-/// ([`run_scenario`](crate::runner::run_scenario)).
+/// Which of the paper's three protocols to run: the typed argument of
+/// [`run_scenario`](crate::runner::run_scenario).
 ///
 /// The enum is a convenience for the builtin protocols only; the open,
 /// by-name axis lives in [`crate::protocols::ProtocolRegistry`], and

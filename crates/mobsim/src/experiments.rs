@@ -1,20 +1,27 @@
-//! The paper's parameter sweeps — Figure 5 (varying the connection-period
-//! length) and Figure 6 (varying the network size) — plus the
-//! mobility-model × protocol matrix the paper never ran.
+//! The seven experiments: the paper's two parameter sweeps — Figure 5
+//! (varying the connection-period length) and Figure 6 (varying the network
+//! size) — and the panels added since: the mobility-model × protocol matrix,
+//! the reactive-vs-proclaimed handover comparison, and the failure,
+//! reliability and traffic panels.
 //!
-//! The protocol axis is data-driven: every sweep iterates the entries of a
-//! [`ProtocolRegistry`] and runs them through the dyn-dispatched
-//! [`run_spec`] path, so registering a new protocol adds a curve to every
-//! figure and a column to every matrix without touching this module. The
-//! default entry points use the process-wide registry; the `*_in` variants
-//! take an explicit one.
+//! Every one of them is the same thing: a grid of independent simulation
+//! runs, one [`RunResult`] per `(row, column)` cell. So there is one result
+//! type, [`Panel`]; one value saying how to execute a grid, [`Sweep`]
+//! (protocol registry, worker threads, wall-clock budget); and one function
+//! per experiment that lists its cells and hands them to the sweep.
 //!
-//! Each point of each curve is an independent simulation run; points are
-//! distributed over scoped worker threads by
-//! [`mhh_mobility::sweep::map_parallel`] (the runs themselves stay
+//! The protocol axis is data-driven: the experiments iterate the entries of
+//! the sweep's [`ProtocolRegistry`] and run them through [`run_spec`], so
+//! registering a new protocol adds a curve to every figure and a column to
+//! every matrix without touching this module.
+//!
+//! Cells are distributed over scoped worker threads by
+//! [`mhh_mobility::sweep::map_parallel_budgeted`] (the runs themselves stay
 //! single-threaded for determinism, so parallel results are byte-identical
 //! to a serial sweep of the same seeds).
 
+use std::cmp::Ordering;
+use std::fmt;
 use std::time::Duration;
 
 use mhh_mobility::sweep::{available_workers, map_parallel_budgeted};
@@ -25,85 +32,259 @@ use crate::config::ScenarioConfig;
 use crate::metrics::RunResult;
 use crate::protocols::{ProtocolRegistry, ProtocolSpec};
 use crate::runner::run_spec;
+use crate::scenarios::Scenario;
 
-/// First-seen-order deduplication, shared by the curve/row/column
-/// accessors below (first-seen order = registry order for protocols).
-fn first_seen<'a, T: PartialEq + ?Sized>(items: impl Iterator<Item = &'a T>) -> Vec<&'a T> {
-    let mut out: Vec<&'a T> = Vec::new();
-    for item in items {
-        if !out.contains(&item) {
-            out.push(item);
-        }
-    }
-    out
+/// One axis value or annotation of a panel point: a number (a figure's x,
+/// the handover comparison's gap reduction) or text (a protocol label, a
+/// preset name, a mobility model's parameter point).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Label {
+    /// A numeric value; exports as a JSON number.
+    Num(f64),
+    /// A name; exports as a JSON string.
+    Text(String),
 }
 
-/// One `(x, protocol)` point of a figure.
+impl Label {
+    /// The text label of anything printable.
+    pub fn text(value: impl ToString) -> Label {
+        Label::Text(value.to_string())
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Num(x) => fmt::Display::fmt(x, f),
+            Label::Text(s) => f.pad(s),
+        }
+    }
+}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        matches!(self, Label::Text(s) if s == other)
+    }
+}
+
+/// A mobility model matches the label of its parameter point (its
+/// `Display`), so the matrix is addressed by the models it was given.
+impl PartialEq<ModelKind> for Label {
+    fn eq(&self, other: &ModelKind) -> bool {
+        *self == *other.to_string()
+    }
+}
+
+/// A point's labels as `(json-key, value)` pairs.
+pub type Labels = Vec<(&'static str, Label)>;
+
+fn find_label<'a>(labels: &'a [(&'static str, Label)], key: &str) -> Option<&'a Label> {
+    labels.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// One cell of a panel: one simulation run and what identifies it.
 #[derive(Debug, Clone)]
-pub struct ExperimentPoint {
-    /// The swept parameter value (connection period in seconds for Figure 5,
-    /// number of base stations for Figure 6).
-    pub x: f64,
-    /// Display label of the protocol run at this point.
-    pub protocol: String,
-    /// Label of the mobility model the point ran under (parameter point
-    /// included, e.g. `random-waypoint(pause=60s)`).
-    pub mobility: String,
-    /// Label of the network topology the point ran on (parameter point
-    /// included, e.g. `scale-free(m=2)`).
-    pub topology: String,
+pub struct PanelPoint {
+    /// The cell's axis values and annotations (e.g. the mobility and
+    /// topology a figure point ran under), in the order the JSON export
+    /// lists them.
+    pub labels: Labels,
     /// The collected metrics.
     pub result: RunResult,
 }
 
-/// A complete figure: all points of all curves.
+impl PanelPoint {
+    /// The label stored under `key`.
+    pub fn label(&self, key: &str) -> Option<&Label> {
+        find_label(&self.labels, key)
+    }
+}
+
+/// The result of any experiment: a grid of runs.
 #[derive(Debug, Clone)]
-pub struct FigureResult {
-    /// Figure identifier (e.g. `"figure5"`).
+pub struct Panel {
+    /// Identifier, also the stem of the file `reproduce_figures` writes
+    /// (`"figure5"`, `"failure_panel"`, …).
     pub name: String,
-    /// Label of the swept parameter (the figures' x axis).
-    pub x_label: String,
-    /// All completed points.
-    pub points: Vec<ExperimentPoint>,
-    /// Points skipped because a wall-clock budget ran out before they could
-    /// start, as `"x × protocol"` labels. Empty for unbudgeted sweeps.
+    /// Title of a numeric row axis (the two figures' x axis); `None` when
+    /// the rows are categories.
+    pub x_label: Option<String>,
+    /// JSON keys of the two labels that span the grid: `[rows, columns]`.
+    pub axes: [&'static str; 2],
+    /// Each row is one paired comparison rather than a series of points:
+    /// the JSON export writes one object per row, with every column's run
+    /// under the column's label (the handover comparison's `reactive` /
+    /// `proclaimed`).
+    pub paired: bool,
+    /// All completed cells, in the order the experiment listed them.
+    pub points: Vec<PanelPoint>,
+    /// Cells that never ran because the wall-clock budget was exhausted
+    /// before they could start, as `"row × column"`. Empty for unbudgeted
+    /// sweeps.
     pub skipped: Vec<String>,
 }
 
-impl FigureResult {
-    /// The distinct protocol labels, in first-seen (= registry) order.
-    pub fn protocols(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.protocol.as_str()))
+impl Panel {
+    /// The distinct values of one axis: first-seen order (= registry order
+    /// for protocols), numbers ascending however the sweep listed them.
+    fn axis(&self, axis: usize) -> Vec<&Label> {
+        let mut seen: Vec<&Label> = Vec::new();
+        for label in self.points.iter().filter_map(|p| p.label(self.axes[axis])) {
+            if !seen.contains(&label) {
+                seen.push(label);
+            }
+        }
+        seen.sort_by(|a, b| match (a, b) {
+            (Label::Num(a), Label::Num(b)) => a.total_cmp(b),
+            _ => Ordering::Equal,
+        });
+        seen
     }
 
-    /// The points of one protocol (by display label), sorted by x.
-    pub fn curve(&self, protocol: &str) -> Vec<&ExperimentPoint> {
-        let mut pts: Vec<&ExperimentPoint> = self
-            .points
+    /// The distinct row labels.
+    pub fn rows(&self) -> Vec<&Label> {
+        self.axis(0)
+    }
+
+    /// The distinct column labels.
+    pub fn cols(&self) -> Vec<&Label> {
+        self.axis(1)
+    }
+
+    /// Look up one cell. Labels compare with `str` and [`ModelKind`] as well
+    /// as with each other, so `cell("baseline", "MHH")`, `cell(&model, "MHH")`
+    /// and `cell(&Label::Num(60.0), "MHH")` all work.
+    pub fn cell<R, C>(&self, row: &R, col: &C) -> Option<&PanelPoint>
+    where
+        R: ?Sized,
+        C: ?Sized,
+        Label: PartialEq<R> + PartialEq<C>,
+    {
+        let [row_key, col_key] = self.axes;
+        self.points.iter().find(|p| {
+            p.label(row_key).is_some_and(|l| l == row) && p.label(col_key).is_some_and(|l| l == col)
+        })
+    }
+
+    /// The cells of one column in row order — one curve of a figure.
+    pub fn column<C>(&self, col: &C) -> Vec<&PanelPoint>
+    where
+        C: ?Sized,
+        Label: PartialEq<C>,
+    {
+        self.rows()
+            .into_iter()
+            .filter_map(|row| self.cell::<Label, C>(row, col))
+            .collect()
+    }
+}
+
+/// How a grid of runs is executed. These are the only three things a caller
+/// can choose about a sweep; everything else is the experiment's arguments.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The protocols to run: every experiment with a protocol axis iterates
+    /// this registry's entries.
+    pub registry: ProtocolRegistry,
+    /// Worker threads (1 = serial). Parallel and serial sweeps of the same
+    /// cells produce byte-identical results.
+    pub workers: usize,
+    /// Wall-clock budget: cells that cannot *start* before it elapses are
+    /// recorded in [`Panel::skipped`] instead of silently truncating the
+    /// sweep. `None` runs everything.
+    pub budget: Option<Duration>,
+}
+
+/// The process-wide registry on all cores, unbudgeted.
+impl Default for Sweep {
+    fn default() -> Self {
+        Sweep {
+            registry: ProtocolRegistry::global(),
+            workers: available_workers(),
+            budget: None,
+        }
+    }
+}
+
+impl Sweep {
+    /// Run one grid: `point` turns a job into the cell's labels, its
+    /// configuration and its protocol; the run itself, the `skipped` list
+    /// and the ledger check are the same for every experiment.
+    ///
+    /// # Panics
+    /// Panics when a completed cell's recovery ledger reports losses or
+    /// duplicates that do not reconcile exactly with its delivery audit —
+    /// the per-outage attribution would have drifted from the ground truth,
+    /// and a panel refuses to report numbers that don't add up.
+    fn run<'a, J: Sync>(
+        &self,
+        name: &str,
+        x_label: Option<&str>,
+        axes: [&'static str; 2],
+        jobs: &[J],
+        point: impl Fn(&J) -> (Labels, ScenarioConfig, &'a ProtocolSpec) + Sync,
+    ) -> Panel {
+        let run = map_parallel_budgeted(jobs, self.workers, self.budget, |job| {
+            let (labels, config, spec) = point(job);
+            PanelPoint {
+                labels,
+                result: run_spec(&config, spec),
+            }
+        });
+        let skipped = run
+            .skipped
             .iter()
-            .filter(|p| p.protocol == protocol)
+            .map(|&i| cell_name(&point(&jobs[i]).0, axes))
             .collect();
-        pts.sort_by(|a, b| a.x.total_cmp(&b.x));
-        pts
+        let points: Vec<PanelPoint> = run.results.into_iter().flatten().collect();
+        for p in &points {
+            let (ledger, audit) = (&p.result.recovery, &p.result.audit);
+            assert!(
+                ledger.is_empty() || ledger.reconciles_with(audit),
+                "{}: recovery ledger (lost {}, dup {}) does not reconcile with \
+                 the delivery audit (lost {}, dup {})",
+                cell_name(&p.labels, axes),
+                ledger.total_lost(),
+                ledger.total_duplicates(),
+                audit.lost,
+                audit.duplicates,
+            );
+        }
+        Panel {
+            name: name.to_string(),
+            x_label: x_label.map(str::to_string),
+            axes,
+            paired: false,
+            points,
+            skipped,
+        }
     }
+}
 
-    /// The overhead-per-handoff series of one protocol (the y values of
-    /// Figures 5(a) / 6(a)).
-    pub fn overhead_series(&self, protocol: &str) -> Vec<(f64, f64)> {
-        self.curve(protocol)
-            .iter()
-            .map(|p| (p.x, p.result.overhead_per_handoff))
-            .collect()
-    }
+/// `"row × column"`: how a cell is named in `skipped` lists and messages.
+fn cell_name(labels: &Labels, axes: [&str; 2]) -> String {
+    let name = |key| find_label(labels, key).map_or_else(String::new, Label::to_string);
+    format!("{} × {}", name(axes[0]), name(axes[1]))
+}
 
-    /// The handoff-delay series of one protocol (the y values of
-    /// Figures 5(b) / 6(b)).
-    pub fn delay_series(&self, protocol: &str) -> Vec<(f64, f64)> {
-        self.curve(protocol)
-            .iter()
-            .map(|p| (p.x, p.result.avg_handoff_delay_ms))
-            .collect()
-    }
+/// Every `(a, b)` pair, `a`-major: the cell list of a grid.
+fn cross<'a, A, B>(outer: &'a [A], inner: &'a [B]) -> Vec<(&'a A, &'a B)> {
+    outer
+        .iter()
+        .flat_map(|a| inner.iter().map(move |b| (a, b)))
+        .collect()
+}
+
+/// The labels of a figure point: the swept value, the protocol, and the
+/// mobility model and topology it ran under (parameter points included,
+/// e.g. `random-waypoint(pause=60s)`, `scale-free(m=2)`).
+fn figure_labels(x: f64, spec: &ProtocolSpec, config: &ScenarioConfig) -> Labels {
+    vec![
+        ("x", Label::Num(x)),
+        ("protocol", Label::text(spec.label())),
+        ("mobility", Label::text(&config.mobility)),
+        ("topology", Label::text(&config.topology)),
+    ]
 }
 
 /// The connection-period values of Figure 5 (seconds, log-spaced).
@@ -113,519 +294,92 @@ pub const FIG5_CONN_PERIODS_S: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
 pub const FIG6_GRID_SIDES: [usize; 5] = [5, 7, 10, 12, 14];
 
 /// Run the Figure 5 sweep (message overhead and handoff delay vs. the average
-/// connection-period length) on top of the given base configuration, with
-/// every protocol of the process-wide registry. The paper fixes 100 base
-/// stations and a 5-minute mean disconnection period; the base config
-/// controls the scale so tests can run a smaller system.
-pub fn figure5(base: &ScenarioConfig, conn_periods_s: &[f64]) -> FigureResult {
-    figure5_with_workers(base, conn_periods_s, available_workers())
-}
-
-/// [`figure5`] with an explicit worker count (1 = serial). Parallel and
-/// serial runs of the same base config produce byte-identical results.
-pub fn figure5_with_workers(
-    base: &ScenarioConfig,
-    conn_periods_s: &[f64],
-    workers: usize,
-) -> FigureResult {
-    figure5_in(&ProtocolRegistry::global(), base, conn_periods_s, workers)
-}
-
-/// [`figure5`] over an explicit protocol registry.
-pub fn figure5_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    conn_periods_s: &[f64],
-    workers: usize,
-) -> FigureResult {
-    figure5_budgeted_in(registry, base, conn_periods_s, workers, None)
-}
-
-/// [`figure5_in`] under an optional wall-clock budget: points that cannot
-/// start before the budget elapses are recorded in
-/// [`FigureResult::skipped`] instead of silently truncating the sweep.
-pub fn figure5_budgeted_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    conn_periods_s: &[f64],
-    workers: usize,
-    budget: Option<Duration>,
-) -> FigureResult {
-    let jobs: Vec<(f64, &ProtocolSpec)> = conn_periods_s
-        .iter()
-        .flat_map(|&p| registry.specs().iter().map(move |spec| (p, spec)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(conn, spec)| {
-        let config = ScenarioConfig {
-            conn_mean_s: conn,
-            ..base.clone()
-        }
-        .with_adaptive_duration(1.5);
-        let result = run_spec(&config, spec);
-        ExperimentPoint {
-            x: conn,
-            protocol: spec.label().to_string(),
-            mobility: config.mobility.to_string(),
-            topology: config.topology.to_string(),
-            result,
-        }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0, jobs[i].1.label()))
-        .collect();
-    FigureResult {
-        name: "figure5".to_string(),
-        x_label: "avg. length of conn. period (s)".to_string(),
-        points: budgeted.results.into_iter().flatten().collect(),
-        skipped,
-    }
+/// connection-period length) on top of the given base configuration: rows
+/// are the connection periods (`x`), columns the sweep's protocols. The
+/// paper fixes 100 base stations and a 5-minute mean disconnection period;
+/// the base config controls the scale so tests can run a smaller system.
+pub fn figure5(base: &ScenarioConfig, conn_periods_s: &[f64], sweep: &Sweep) -> Panel {
+    sweep.run(
+        "figure5",
+        Some("avg. length of conn. period (s)"),
+        ["x", "protocol"],
+        &cross(conn_periods_s, sweep.registry.specs()),
+        |&(&conn, spec)| {
+            let config = ScenarioConfig {
+                conn_mean_s: conn,
+                ..base.clone()
+            }
+            .with_adaptive_duration(1.5);
+            (figure_labels(conn, spec, &config), config, spec)
+        },
+    )
 }
 
 /// Run the Figure 6 sweep (message overhead and handoff delay vs. the number
-/// of base stations) on top of the given base configuration, with every
-/// protocol of the process-wide registry. The paper fixes both period means
-/// at 5 minutes.
-pub fn figure6(base: &ScenarioConfig, grid_sides: &[usize]) -> FigureResult {
-    figure6_with_workers(base, grid_sides, available_workers())
-}
-
-/// [`figure6`] with an explicit worker count (1 = serial).
-pub fn figure6_with_workers(
-    base: &ScenarioConfig,
-    grid_sides: &[usize],
-    workers: usize,
-) -> FigureResult {
-    figure6_in(&ProtocolRegistry::global(), base, grid_sides, workers)
-}
-
-/// [`figure6`] over an explicit protocol registry.
-pub fn figure6_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    grid_sides: &[usize],
-    workers: usize,
-) -> FigureResult {
-    figure6_budgeted_in(registry, base, grid_sides, workers, None)
-}
-
-/// [`figure6_in`] under an optional wall-clock budget; see
-/// [`figure5_budgeted_in`].
-pub fn figure6_budgeted_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    grid_sides: &[usize],
-    workers: usize,
-    budget: Option<Duration>,
-) -> FigureResult {
-    let jobs: Vec<(usize, &ProtocolSpec)> = grid_sides
-        .iter()
-        .flat_map(|&side| registry.specs().iter().map(move |spec| (side, spec)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(side, spec)| {
-        let config = ScenarioConfig {
-            grid_side: side,
-            ..base.clone()
-        }
-        .with_adaptive_duration(1.5);
-        let result = run_spec(&config, spec);
-        ExperimentPoint {
+/// of base stations) on top of the given base configuration: rows are the
+/// station counts (`x`), columns the sweep's protocols. The paper fixes both
+/// period means at 5 minutes.
+pub fn figure6(base: &ScenarioConfig, grid_sides: &[usize], sweep: &Sweep) -> Panel {
+    sweep.run(
+        "figure6",
+        Some("number of base stations"),
+        ["x", "protocol"],
+        &cross(grid_sides, sweep.registry.specs()),
+        |&(&side, spec)| {
+            let config = ScenarioConfig {
+                grid_side: side,
+                ..base.clone()
+            }
+            .with_adaptive_duration(1.5);
             // x is the swept side², not broker_count(): an EdgeList topology
             // ignores grid_side, and identical x values would collapse the
             // sweep's rows in every rendered panel.
-            x: (side * side) as f64,
-            protocol: spec.label().to_string(),
-            mobility: config.mobility.to_string(),
-            topology: config.topology.to_string(),
-            result,
-        }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0 * jobs[i].0, jobs[i].1.label()))
-        .collect();
-    FigureResult {
-        name: "figure6".to_string(),
-        x_label: "number of base stations".to_string(),
-        points: budgeted.results.into_iter().flatten().collect(),
-        skipped,
-    }
+            let x = (side * side) as f64;
+            (figure_labels(x, spec, &config), config, spec)
+        },
+    )
 }
 
-/// One cell of the mobility-model × protocol matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixPoint {
-    /// The mobility model of this cell, *including its parameters* — the
-    /// same kind may appear at several parameter points in one matrix.
-    pub mobility: ModelKind,
-    /// Display label of the protocol run in this cell.
-    pub protocol: String,
-    /// Label of the network topology the cell ran on.
-    pub topology: String,
-    /// The collected metrics.
-    pub result: RunResult,
-}
-
-/// The full mobility-model × protocol matrix: every model parameter point
-/// of the sweep run against every registered protocol on the same base
-/// scenario.
-#[derive(Debug, Clone)]
-pub struct MatrixResult {
-    /// All completed cells, one per (model parameter point, protocol) pair.
-    pub points: Vec<MatrixPoint>,
-    /// Cells skipped because a wall-clock budget ran out before they could
-    /// start, as `"model × protocol"` labels. Empty for unbudgeted sweeps.
-    pub skipped: Vec<String>,
-}
-
-impl MatrixResult {
-    /// The distinct model parameter points, in first-seen order.
-    pub fn models(&self) -> Vec<&ModelKind> {
-        first_seen(self.points.iter().map(|p| &p.mobility))
-    }
-
-    /// The distinct protocol labels, in first-seen (= registry) order.
-    pub fn protocols(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.protocol.as_str()))
-    }
-
-    /// Look up one cell by exact model parameter point and protocol label.
-    pub fn cell(&self, mobility: &ModelKind, protocol: &str) -> Option<&MatrixPoint> {
-        self.points
-            .iter()
-            .find(|p| &p.mobility == mobility && p.protocol == protocol)
-    }
-}
-
-/// Run every mobility model against every protocol of the process-wide
-/// registry on `base` (the model stored in `base` itself is ignored in
-/// favour of each sweep entry), in parallel over the available cores.
+/// Run every mobility model against every protocol of the sweep on `base`
+/// (the model stored in `base` itself is ignored in favour of each entry):
+/// rows are the models (`mobility`), columns the protocols.
 ///
-/// Cells are keyed by the full [`ModelKind`] value — kind *and* parameters —
-/// so the `models` slice may sweep one kind across several parameter points
-/// (e.g. three `RandomWaypoint`s with different pause times) without
-/// collisions.
-pub fn mobility_matrix(base: &ScenarioConfig, models: &[ModelKind]) -> MatrixResult {
-    mobility_matrix_with_workers(base, models, available_workers())
+/// Rows are keyed by the model's full parameter point — kind *and*
+/// parameters, as its `Display` prints them — so `models` may sweep one kind
+/// across several parameter points (e.g. three `RandomWaypoint`s with
+/// different pause times) without collisions. The bare kind is carried along
+/// as the `model` label.
+pub fn mobility_matrix(base: &ScenarioConfig, models: &[ModelKind], sweep: &Sweep) -> Panel {
+    sweep.run(
+        "mobility_matrix",
+        None,
+        ["mobility", "protocol"],
+        &cross(models, sweep.registry.specs()),
+        |&(kind, spec)| {
+            let config = base.clone().with_mobility(kind.clone());
+            let labels = vec![
+                ("mobility", Label::text(kind)),
+                ("model", Label::text(kind.label())),
+                ("protocol", Label::text(spec.label())),
+                ("topology", Label::text(&config.topology)),
+            ];
+            (labels, config, spec)
+        },
+    )
 }
 
-/// [`mobility_matrix`] with an explicit worker count (1 = serial).
-pub fn mobility_matrix_with_workers(
-    base: &ScenarioConfig,
-    models: &[ModelKind],
-    workers: usize,
-) -> MatrixResult {
-    mobility_matrix_in(&ProtocolRegistry::global(), base, models, workers)
-}
-
-/// [`mobility_matrix`] over an explicit protocol registry.
-pub fn mobility_matrix_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    models: &[ModelKind],
-    workers: usize,
-) -> MatrixResult {
-    mobility_matrix_budgeted_in(registry, base, models, workers, None)
-}
-
-/// [`mobility_matrix_in`] under an optional wall-clock budget: matrix cells
-/// that cannot start before the budget elapses are recorded in
-/// [`MatrixResult::skipped`] instead of silently truncating the matrix.
-pub fn mobility_matrix_budgeted_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    models: &[ModelKind],
-    workers: usize,
-    budget: Option<Duration>,
-) -> MatrixResult {
-    let jobs: Vec<(&ModelKind, &ProtocolSpec)> = models
-        .iter()
-        .flat_map(|kind| registry.specs().iter().map(move |spec| (kind, spec)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(kind, spec)| {
-        let config = base.clone().with_mobility(kind.clone());
-        let result = run_spec(&config, spec);
-        MatrixPoint {
-            mobility: kind.clone(),
-            protocol: spec.label().to_string(),
-            topology: config.topology.to_string(),
-            result,
-        }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0, jobs[i].1.label()))
-        .collect();
-    MatrixResult {
-        points: budgeted.results.into_iter().flatten().collect(),
-        skipped,
-    }
-}
-
-/// The scenario presets the failure panel runs by default: the seeded
+/// The scenario presets the failure panel is meant for: the seeded
 /// broker-crash storm, the partition/region-outage city, and the lossy
-/// crash storm whose ledgers carry the reliability-layer counters (see
-/// [`crate::scenarios::registry`]).
+/// crash storm whose ledgers carry the reliability-layer counters (look
+/// them up with [`crate::scenarios::find_all`]).
 pub const FAILURE_PRESETS: [&str; 3] = [
     "broker-crash-storm",
     "partitioned-city",
     "lossy-crash-storm",
 ];
 
-/// One `(fault preset, protocol)` cell of the failure panel.
-#[derive(Debug, Clone)]
-pub struct FailurePanelPoint {
-    /// Name of the fault-injecting scenario preset.
-    pub scenario: String,
-    /// Display label of the protocol run in this cell.
-    pub protocol: String,
-    /// The collected metrics, including the per-outage
-    /// [`RecoveryLedger`](crate::metrics::RecoveryLedger).
-    pub result: RunResult,
-}
-
-/// The failure panel: every fault preset run against every registered
-/// protocol (by default the paper's three plus PSVR), comparing losses,
-/// duplicates, dropped envelopes and time-to-repair under identical
-/// injected outages. Every cell's recovery ledger reconciles exactly with
-/// its delivery audit — asserted at assembly time, so a panel that reports
-/// numbers at all reports numbers that add up.
-#[derive(Debug, Clone)]
-pub struct FailurePanelResult {
-    /// All completed cells, preset-major in registry order.
-    pub points: Vec<FailurePanelPoint>,
-    /// Cells skipped because a wall-clock budget ran out, as
-    /// `"preset × protocol"` labels. Empty for unbudgeted runs.
-    pub skipped: Vec<String>,
-}
-
-impl FailurePanelResult {
-    /// The distinct preset names, in first-seen order.
-    pub fn scenarios(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.scenario.as_str()))
-    }
-
-    /// The distinct protocol labels, in first-seen (= registry) order.
-    pub fn protocols(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.protocol.as_str()))
-    }
-
-    /// Look up one cell by preset name and protocol label.
-    pub fn cell(&self, scenario: &str, protocol: &str) -> Option<&FailurePanelPoint> {
-        self.points
-            .iter()
-            .find(|p| p.scenario == scenario && p.protocol == protocol)
-    }
-}
-
-/// Run the failure panel over the default presets ([`FAILURE_PRESETS`])
-/// with the extended registry (the paper's three protocols plus PSVR), in
-/// parallel over the available cores.
-pub fn failure_panel() -> FailurePanelResult {
-    let presets: Vec<crate::scenarios::Scenario> = FAILURE_PRESETS
-        .iter()
-        .map(|name| crate::scenarios::find(name).expect("failure preset registered"))
-        .collect();
-    failure_panel_budgeted_in(
-        &ProtocolRegistry::extended(),
-        &presets,
-        available_workers(),
-        None,
-    )
-}
-
-/// [`failure_panel`] over explicit presets, registry and worker count.
-pub fn failure_panel_in(
-    registry: &ProtocolRegistry,
-    presets: &[crate::scenarios::Scenario],
-    workers: usize,
-) -> FailurePanelResult {
-    failure_panel_budgeted_in(registry, presets, workers, None)
-}
-
-/// [`failure_panel_in`] under an optional wall-clock budget: cells that
-/// cannot start before the budget elapses are recorded in
-/// [`FailurePanelResult::skipped`].
-///
-/// # Panics
-/// Panics when a completed cell's recovery ledger does not reconcile
-/// exactly with its delivery audit — that would mean the per-outage
-/// attribution lost count drifted from the ground truth, and the panel
-/// refuses to report numbers that don't add up.
-pub fn failure_panel_budgeted_in(
-    registry: &ProtocolRegistry,
-    presets: &[crate::scenarios::Scenario],
-    workers: usize,
-    budget: Option<Duration>,
-) -> FailurePanelResult {
-    let jobs: Vec<(&crate::scenarios::Scenario, &ProtocolSpec)> = presets
-        .iter()
-        .flat_map(|preset| registry.specs().iter().map(move |spec| (preset, spec)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(preset, spec)| {
-        let result = run_spec(&preset.config, spec);
-        FailurePanelPoint {
-            scenario: preset.name.to_string(),
-            protocol: spec.label().to_string(),
-            result,
-        }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0.name, jobs[i].1.label()))
-        .collect();
-    let points: Vec<FailurePanelPoint> = budgeted.results.into_iter().flatten().collect();
-    for p in &points {
-        assert!(
-            p.result.recovery.reconciles_with(&p.result.audit),
-            "{} × {}: recovery ledger (lost {}, dup {}) does not reconcile \
-             with the delivery audit (lost {}, dup {})",
-            p.scenario,
-            p.protocol,
-            p.result.recovery.total_lost(),
-            p.result.recovery.total_duplicates(),
-            p.result.audit.lost,
-            p.result.audit.duplicates,
-        );
-    }
-    FailurePanelResult { points, skipped }
-}
-
-/// The reliability modes the reliability panel compares, in column order:
-/// no reliability layer at all, broker dedup alone, and dedup plus
-/// publisher ack/retransmit.
-pub const RELIABILITY_MODES: [&str; 3] = ["baseline", "dedup", "dedup+retransmit"];
-
-/// One `(mode, protocol)` cell of the reliability panel.
-#[derive(Debug, Clone)]
-pub struct ReliabilityPanelPoint {
-    /// The reliability mode (one of [`RELIABILITY_MODES`]).
-    pub mode: String,
-    /// Display label of the protocol run in this cell.
-    pub protocol: String,
-    /// The collected metrics, including the
-    /// [`RecoveryLedger`](crate::metrics::RecoveryLedger)'s per-cause drop
-    /// accounting and reliability counters.
-    pub result: RunResult,
-}
-
-/// The reliability trade-off panel: the `lossy-crash-storm` preset (2 %
-/// link loss, 0.5 % corruption, a six-crash storm) run for every registered
-/// protocol under each of the three reliability modes. Dedup is expected to
-/// eliminate audited duplicates; retransmission trades extra mobility-layer
-/// traffic for recovering link-lost publishes. Every cell's ledger
-/// reconciles exactly with its delivery audit.
-#[derive(Debug, Clone)]
-pub struct ReliabilityPanelResult {
-    /// All completed cells, mode-major in [`RELIABILITY_MODES`] order.
-    pub points: Vec<ReliabilityPanelPoint>,
-    /// Cells skipped under a wall-clock budget, as `"mode × protocol"`.
-    pub skipped: Vec<String>,
-}
-
-impl ReliabilityPanelResult {
-    /// The distinct mode names, in first-seen (= column) order.
-    pub fn modes(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.mode.as_str()))
-    }
-
-    /// The distinct protocol labels, in first-seen (= registry) order.
-    pub fn protocols(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.protocol.as_str()))
-    }
-
-    /// Look up one cell by mode name and protocol label.
-    pub fn cell(&self, mode: &str, protocol: &str) -> Option<&ReliabilityPanelPoint> {
-        self.points
-            .iter()
-            .find(|p| p.mode == mode && p.protocol == protocol)
-    }
-}
-
-/// Derive one reliability mode's configuration from the panel's base
-/// scenario: same seed, same storm, same lossy links — only the reliability
-/// layer differs, so cells in a row are a paired comparison.
-fn reliability_mode_config(base: &ScenarioConfig, mode: &str) -> ScenarioConfig {
-    let mut config = base.clone();
-    match mode {
-        "baseline" => {
-            config.dedup_window = 0;
-            config.retransmit = false;
-        }
-        "dedup" => {
-            config.retransmit = false;
-        }
-        _ => {}
-    }
-    config
-}
-
-/// Run the reliability panel over the `lossy-crash-storm` preset with the
-/// extended registry, in parallel over the available cores.
-pub fn reliability_panel() -> ReliabilityPanelResult {
-    let base = crate::scenarios::find("lossy-crash-storm")
-        .expect("lossy-crash-storm preset registered")
-        .config;
-    reliability_panel_budgeted_in(
-        &ProtocolRegistry::extended(),
-        &base,
-        available_workers(),
-        None,
-    )
-}
-
-/// [`reliability_panel`] over an explicit base scenario, registry and
-/// worker count, under an optional wall-clock budget: cells that cannot
-/// start before the budget elapses are recorded in
-/// [`ReliabilityPanelResult::skipped`]. The base scenario should carry the
-/// full reliability configuration (lossy links, dedup window, retransmit,
-/// replication); the panel switches the dedup/retransmit knobs off per
-/// mode.
-///
-/// # Panics
-/// Panics when a completed cell's recovery ledger does not reconcile with
-/// its delivery audit (see [`failure_panel_budgeted_in`]).
-pub fn reliability_panel_budgeted_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    workers: usize,
-    budget: Option<Duration>,
-) -> ReliabilityPanelResult {
-    let jobs: Vec<(&str, &ProtocolSpec)> = RELIABILITY_MODES
-        .iter()
-        .flat_map(|&mode| registry.specs().iter().map(move |spec| (mode, spec)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(mode, spec)| {
-        let config = reliability_mode_config(base, mode);
-        ReliabilityPanelPoint {
-            mode: mode.to_string(),
-            protocol: spec.label().to_string(),
-            result: run_spec(&config, spec),
-        }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0, jobs[i].1.label()))
-        .collect();
-    let points: Vec<ReliabilityPanelPoint> = budgeted.results.into_iter().flatten().collect();
-    for p in &points {
-        assert!(
-            p.result.recovery.reconciles_with(&p.result.audit),
-            "{} × {}: recovery ledger does not reconcile with the audit",
-            p.mode,
-            p.protocol,
-        );
-    }
-    ReliabilityPanelResult { points, skipped }
-}
-
-/// The MQTT-shaped storm presets the traffic panel runs by default (see
-/// [`crate::scenarios::registry`]).
+/// The MQTT-shaped storm presets the traffic panel is meant for (look them
+/// up with [`crate::scenarios::find_all`]).
 pub const TRAFFIC_PRESETS: [&str; 4] = [
     "fan-in-storm",
     "fan-out-storm",
@@ -633,220 +387,185 @@ pub const TRAFFIC_PRESETS: [&str; 4] = [
     "shared-subscription",
 ];
 
-/// One `(storm preset, fan-out mode)` cell of the traffic panel.
-#[derive(Debug, Clone)]
-pub struct TrafficPanelPoint {
-    /// Name of the storm preset.
-    pub scenario: String,
-    /// Fan-out mode label (`"cached"` or `"clone"`).
-    pub mode: String,
-    /// The collected metrics, including the
-    /// [`TrafficReport`](crate::metrics::TrafficReport) byte accounting.
-    pub result: RunResult,
+/// The failure panel: every fault preset (rows, `scenario`) run against
+/// every protocol of the sweep (columns) — meant for
+/// [`ProtocolRegistry::extended`], the paper's three plus PSVR — comparing
+/// losses, duplicates, dropped envelopes and time-to-repair under identical
+/// injected outages. Every cell's recovery ledger reconciles exactly with
+/// its delivery audit (every sweep checks it), so a panel that reports
+/// numbers at all reports numbers that add up.
+pub fn failure_panel(presets: &[Scenario], sweep: &Sweep) -> Panel {
+    sweep.run(
+        "failure_panel",
+        None,
+        ["scenario", "protocol"],
+        &cross(presets, sweep.registry.specs()),
+        |&(preset, spec)| {
+            let labels = vec![
+                ("scenario", Label::text(preset.name)),
+                ("protocol", Label::text(spec.label())),
+            ];
+            (labels, preset.config.clone(), spec)
+        },
+    )
 }
 
-/// The traffic panel: every storm preset run under both fan-out modes
-/// (serialize-once cached vs clone-per-destination), comparing fan-out
-/// allocations, bytes serialized and throughput on byte-identical delivery
-/// results. Every pair's delivery-side metrics are asserted identical at
-/// assembly time — a panel that reports a speedup at all reports one
-/// measured on provably equivalent runs.
-#[derive(Debug, Clone)]
-pub struct TrafficPanelResult {
-    /// All completed cells, preset-major, cached before clone.
-    pub points: Vec<TrafficPanelPoint>,
-    /// Cells skipped because a wall-clock budget ran out, as
-    /// `"preset × mode"` labels. Empty for unbudgeted runs.
-    pub skipped: Vec<String>,
+/// A reliability mode: its label, and what it switches off in the
+/// reliability panel's base scenario.
+pub type ReliabilityMode = (&'static str, fn(&mut ScenarioConfig));
+
+/// The reliability modes the reliability panel compares, in row order: no
+/// reliability layer at all, broker dedup alone, and dedup plus publisher
+/// ack/retransmit (the base as given).
+pub const RELIABILITY_MODES: [ReliabilityMode; 3] = [
+    ("baseline", |config| {
+        config.dedup_window = 0;
+        config.retransmit = false;
+    }),
+    ("dedup", |config| config.retransmit = false),
+    ("dedup+retransmit", |_| {}),
+];
+
+/// The reliability trade-off panel: `base` — meant to be the
+/// `lossy-crash-storm` preset (2 % link loss, 0.5 % corruption, a six-crash
+/// storm), or anything else that carries the full reliability configuration
+/// — run under each of the [`RELIABILITY_MODES`] (rows, `mode`) for every
+/// protocol of the sweep (columns). Same seed, same storm, same lossy links:
+/// only the reliability layer differs, so the cells of a column are a paired
+/// comparison. Dedup is expected to eliminate audited duplicates;
+/// retransmission trades extra mobility-layer traffic for recovering
+/// link-lost publishes.
+pub fn reliability_panel(base: &ScenarioConfig, sweep: &Sweep) -> Panel {
+    sweep.run(
+        "reliability_panel",
+        None,
+        ["mode", "protocol"],
+        &cross(&RELIABILITY_MODES, sweep.registry.specs()),
+        |&(&(mode, switch_off), spec)| {
+            let mut config = base.clone();
+            switch_off(&mut config);
+            let labels = vec![
+                ("mode", Label::text(mode)),
+                ("protocol", Label::text(spec.label())),
+            ];
+            (labels, config, spec)
+        },
+    )
 }
 
-impl TrafficPanelResult {
-    /// The distinct preset names, in first-seen order.
-    pub fn scenarios(&self) -> Vec<&str> {
-        first_seen(self.points.iter().map(|p| p.scenario.as_str()))
-    }
-
-    /// Look up one cell by preset name and fan-out mode label.
-    pub fn cell(&self, scenario: &str, mode: &str) -> Option<&TrafficPanelPoint> {
-        self.points
-            .iter()
-            .find(|p| p.scenario == scenario && p.mode == mode)
-    }
-}
-
-/// Run the traffic panel over the default storm presets
-/// ([`TRAFFIC_PRESETS`]) with MHH, in parallel over the available cores.
-pub fn traffic_panel() -> TrafficPanelResult {
-    let presets: Vec<crate::scenarios::Scenario> = TRAFFIC_PRESETS
-        .iter()
-        .map(|name| crate::scenarios::find(name).expect("traffic preset registered"))
-        .collect();
-    traffic_panel_budgeted_in(&presets, available_workers(), None)
-}
-
-/// [`traffic_panel`] over explicit presets, worker count and an optional
-/// wall-clock budget; skipped cells are recorded instead of truncating.
+/// The traffic panel: every storm preset (rows, `scenario`) run with MHH
+/// under both fan-out modes (columns, `mode`: serialize-once cached vs
+/// clone-per-destination), comparing fan-out allocations, bytes serialized
+/// and throughput on byte-identical delivery results. The sweep's registry
+/// is not consulted — the protocol is not an axis here.
 ///
 /// # Panics
 /// Panics when a completed cached/clone pair differs in any delivery-side
 /// metric — the serialize-once cache must never change behavior, only
-/// accounting.
-pub fn traffic_panel_budgeted_in(
-    presets: &[crate::scenarios::Scenario],
-    workers: usize,
-    budget: Option<Duration>,
-) -> TrafficPanelResult {
+/// accounting, so a panel that reports a saving at all reports one measured
+/// on provably equivalent runs.
+pub fn traffic_panel(presets: &[Scenario], sweep: &Sweep) -> Panel {
+    let builtin = ProtocolRegistry::builtin();
+    let mhh = builtin.find("mhh").expect("mhh is builtin");
     let modes = [FanoutMode::Cached, FanoutMode::CloneBaseline];
-    let jobs: Vec<(&crate::scenarios::Scenario, FanoutMode)> = presets
-        .iter()
-        .flat_map(|preset| modes.iter().map(move |&m| (preset, m)))
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(preset, mode)| {
-        let config = preset.config.clone().with_fanout_mode(mode);
-        let result = crate::runner::run_scenario(&config, crate::config::Protocol::Mhh);
-        TrafficPanelPoint {
-            scenario: preset.name.to_string(),
-            mode: mode.label().to_string(),
-            result,
+    let panel = sweep.run(
+        "traffic_panel",
+        None,
+        ["scenario", "mode"],
+        &cross(presets, &modes),
+        |&(preset, &mode)| {
+            let labels = vec![
+                ("scenario", Label::text(preset.name)),
+                ("mode", Label::text(mode.label())),
+            ];
+            (labels, preset.config.clone().with_fanout_mode(mode), mhh)
+        },
+    );
+    let delivery = |p: &PanelPoint| {
+        let r = &p.result;
+        (
+            r.delivered_messages,
+            r.traffic.delivery_bytes,
+            format!("{:?}", r.audit),
+        )
+    };
+    for scenario in panel.rows() {
+        let pair = modes.map(|mode| panel.cell(scenario, mode.label()));
+        if let [Some(cached), Some(clone)] = pair {
+            assert_eq!(
+                delivery(cached),
+                delivery(clone),
+                "{scenario}: cached and clone fan-out must deliver identically"
+            );
         }
-    });
-    let skipped = budgeted
-        .skipped
-        .iter()
-        .map(|&i| format!("{} × {}", jobs[i].0.name, jobs[i].1.label()))
-        .collect();
-    let points: Vec<TrafficPanelPoint> = budgeted.results.into_iter().flatten().collect();
-    let panel = TrafficPanelResult { points, skipped };
-    for scenario in panel.scenarios() {
-        let (Some(cached), Some(clone)) = (
-            panel.cell(scenario, "cached"),
-            panel.cell(scenario, "clone"),
-        ) else {
-            continue;
-        };
-        assert_eq!(
-            (
-                cached.result.delivered_messages,
-                cached.result.traffic.delivery_bytes,
-                format!("{:?}", cached.result.audit),
-            ),
-            (
-                clone.result.delivered_messages,
-                clone.result.traffic.delivery_bytes,
-                format!("{:?}", clone.result.audit),
-            ),
-            "{scenario}: cached and clone fan-out must deliver identically"
-        );
     }
     panel
 }
 
-/// One protocol's paired reactive-vs-proclaimed comparison: the *same* move
-/// schedule (same seed, same workload) run once with every move silent and
-/// once with every move proclaimed.
-#[derive(Debug, Clone)]
-pub struct ProclaimedComparePoint {
-    /// Display label of the protocol.
-    pub protocol: String,
-    /// The run with `proclaimed_fraction = 0.0` (every move §4.2).
-    pub reactive: RunResult,
-    /// The run with `proclaimed_fraction = 1.0` (every move §4.1).
-    pub proclaimed: RunResult,
+/// The two columns of the handover comparison, each with the
+/// `proclaimed_fraction` it sets: every move silent (§4.2), every move
+/// proclaimed (§4.1).
+pub const HANDOVER_KINDS: [(&str, f64); 2] = [("reactive", 0.0), ("proclaimed", 1.0)];
+
+/// How much of the reactive run's mean first-delivery gap the proclaimed run
+/// of the same move schedule removed (0..1; negative when proclamation
+/// hurt).
+pub fn gap_reduction(reactive: &RunResult, proclaimed: &RunResult) -> f64 {
+    if reactive.avg_handoff_delay_ms == 0.0 {
+        0.0
+    } else {
+        1.0 - proclaimed.avg_handoff_delay_ms / reactive.avg_handoff_delay_ms
+    }
 }
 
-impl ProclaimedComparePoint {
-    /// Mean per-handover first-delivery gap of the reactive run (ms).
-    pub fn reactive_gap_ms(&self) -> f64 {
-        self.reactive.avg_handoff_delay_ms
-    }
-
-    /// Mean per-handover first-delivery gap of the proclaimed run (ms).
-    pub fn proclaimed_gap_ms(&self) -> f64 {
-        self.proclaimed.avg_handoff_delay_ms
-    }
-
-    /// How much of the reactive gap the proclamation removed (0..1; negative
-    /// when proclamation hurt).
-    pub fn gap_reduction(&self) -> f64 {
-        let r = self.reactive_gap_ms();
-        if r == 0.0 {
-            0.0
+/// Run the reactive-vs-proclaimed comparison (§4.2 vs §4.1) for every
+/// protocol of the sweep (rows) on `base`: the *same* move schedule (same
+/// seed, same workload) once with every move silent (column `reactive`,
+/// `proclaimed_fraction = 0`) and once with every move proclaimed (column
+/// `proclaimed`, `proclaimed_fraction = 1`), so each row is a true paired
+/// comparison. Both cells of a row carry the pair's [`gap_reduction`] as
+/// the `gap_reduction` label.
+///
+/// A half-finished pair is useless, so a protocol whose two runs could not
+/// both complete within the budget is dropped whole and listed once, by its
+/// label alone, in [`Panel::skipped`].
+pub fn proclaimed_comparison(base: &ScenarioConfig, sweep: &Sweep) -> Panel {
+    let mut panel = sweep.run(
+        "handover",
+        None,
+        ["protocol", "handover"],
+        &cross(sweep.registry.specs(), &HANDOVER_KINDS),
+        |&(spec, &(kind, fraction))| {
+            let labels = vec![
+                ("protocol", Label::text(spec.label())),
+                ("handover", Label::text(kind)),
+            ];
+            (
+                labels,
+                base.clone().with_proclaimed_fraction(fraction),
+                spec,
+            )
+        },
+    );
+    // Cells come back protocol-major, so a protocol's completed runs are
+    // adjacent; a pair stays only when both halves are there.
+    let mut rest = std::mem::take(&mut panel.points).into_iter().peekable();
+    panel.skipped.clear();
+    for spec in sweep.registry.specs() {
+        let own = |p: &PanelPoint| p.label("protocol").is_some_and(|l| l == spec.label());
+        let mut pair: Vec<PanelPoint> = std::iter::from_fn(|| rest.next_if(own)).collect();
+        if let [reactive, proclaimed] = &mut pair[..] {
+            let reduction = Label::Num(gap_reduction(&reactive.result, &proclaimed.result));
+            for half in [reactive, proclaimed] {
+                half.labels.insert(1, ("gap_reduction", reduction.clone()));
+            }
+            panel.points.append(&mut pair);
         } else {
-            1.0 - self.proclaimed_gap_ms() / r
+            panel.skipped.push(spec.label().to_string());
         }
     }
-}
-
-/// The proclaimed-vs-reactive comparison across every registered protocol.
-#[derive(Debug, Clone)]
-pub struct ProclaimedCompareResult {
-    /// One paired comparison per protocol, in registry order.
-    pub points: Vec<ProclaimedComparePoint>,
-    /// Protocols whose pair could not complete before a wall-clock budget
-    /// ran out (a half-finished pair is useless, so the whole pair is
-    /// dropped and recorded here). Empty for unbudgeted runs.
-    pub skipped: Vec<String>,
-}
-
-impl ProclaimedCompareResult {
-    /// Look up one protocol's pair by display label.
-    pub fn point(&self, protocol: &str) -> Option<&ProclaimedComparePoint> {
-        self.points.iter().find(|p| p.protocol == protocol)
-    }
-}
-
-/// Run the reactive-vs-proclaimed comparison (§4.1 vs §4.2) for every
-/// protocol of the process-wide registry on `base`. The base's own
-/// `proclaimed_fraction` is overridden to 0 and 1; everything else —
-/// including the move schedule — is shared, so each pair is a true paired
-/// comparison.
-pub fn proclaimed_comparison(base: &ScenarioConfig) -> ProclaimedCompareResult {
-    proclaimed_comparison_in(&ProtocolRegistry::global(), base, available_workers())
-}
-
-/// [`proclaimed_comparison`] over an explicit registry and worker count.
-pub fn proclaimed_comparison_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    workers: usize,
-) -> ProclaimedCompareResult {
-    proclaimed_comparison_budgeted_in(registry, base, workers, None)
-}
-
-/// [`proclaimed_comparison_in`] under an optional wall-clock budget:
-/// protocols whose reactive/proclaimed pair cannot both complete are
-/// recorded in [`ProclaimedCompareResult::skipped`].
-pub fn proclaimed_comparison_budgeted_in(
-    registry: &ProtocolRegistry,
-    base: &ScenarioConfig,
-    workers: usize,
-    budget: Option<Duration>,
-) -> ProclaimedCompareResult {
-    let jobs: Vec<(&ProtocolSpec, f64)> = registry
-        .specs()
-        .iter()
-        .flat_map(|spec| [(spec, 0.0f64), (spec, 1.0f64)])
-        .collect();
-    let budgeted = map_parallel_budgeted(&jobs, workers, budget, |&(spec, fraction)| {
-        let config = base.clone().with_proclaimed_fraction(fraction);
-        run_spec(&config, spec)
-    });
-    let mut points = Vec::new();
-    let mut skipped = Vec::new();
-    let mut results = budgeted.results.into_iter();
-    for spec in registry.specs() {
-        let reactive = results.next().expect("two slots per spec");
-        let proclaimed = results.next().expect("two slots per spec");
-        match (reactive, proclaimed) {
-            (Some(reactive), Some(proclaimed)) => points.push(ProclaimedComparePoint {
-                protocol: spec.label().to_string(),
-                reactive,
-                proclaimed,
-            }),
-            _ => skipped.push(spec.label().to_string()),
-        }
-    }
-    ProclaimedCompareResult { points, skipped }
+    panel.paired = true;
+    panel
 }
 
 #[cfg(test)]
@@ -870,17 +589,48 @@ mod tests {
         }
     }
 
+    fn sweep_of(registry: ProtocolRegistry, workers: usize) -> Sweep {
+        Sweep {
+            registry,
+            workers,
+            budget: None,
+        }
+    }
+
+    fn builtin(workers: usize) -> Sweep {
+        sweep_of(ProtocolRegistry::builtin(), workers)
+    }
+
+    fn starved(sweep: Sweep) -> Sweep {
+        Sweep {
+            budget: Some(Duration::ZERO),
+            ..sweep
+        }
+    }
+
     #[test]
     fn figure5_sweep_produces_all_curves() {
-        let fig = figure5_in(&ProtocolRegistry::builtin(), &tiny_base(), &[5.0, 60.0], 4);
+        let fig = figure5(&tiny_base(), &[5.0, 60.0], &builtin(4));
         assert_eq!(fig.points.len(), 6);
-        assert_eq!(fig.protocols(), vec!["sub-unsub", "MHH", "HB"]);
+        assert_eq!(fig.cols(), ["sub-unsub", "MHH", "HB"]);
+        assert_eq!(fig.rows(), [&Label::Num(5.0), &Label::Num(60.0)]);
         for proto in Protocol::ALL {
-            let series = fig.overhead_series(proto.label());
-            assert_eq!(series.len(), 2);
-            assert!(series[0].0 < series[1].0, "series sorted by x");
-            assert_eq!(fig.delay_series(proto.label()).len(), 2);
+            let curve = fig.column(proto.label());
+            assert_eq!(curve.len(), 2);
+            let xs: Vec<_> = curve.iter().map(|p| p.label("x")).collect();
+            assert_eq!(
+                xs,
+                [Some(&Label::Num(5.0)), Some(&Label::Num(60.0))],
+                "curve sorted by x"
+            );
         }
+    }
+
+    #[test]
+    fn rows_of_a_numeric_axis_ascend_however_the_sweep_listed_them() {
+        let fig = figure5(&tiny_base(), &[60.0, 5.0], &builtin(2));
+        assert_eq!(fig.rows(), [&Label::Num(5.0), &Label::Num(60.0)]);
+        assert_eq!(fig.points[0].label("x"), Some(&Label::Num(60.0)));
     }
 
     /// A config with enough stored backlog per disconnection that the
@@ -906,9 +656,9 @@ mod tests {
         // stored queues repeatedly and makes the client wait for the whole
         // handoff; MHH must be cheaper per handoff and must deliver faster —
         // the headline claim of Figure 5.
-        let fig = figure5_in(&ProtocolRegistry::builtin(), &dense_base(), &[5.0], 4);
-        let mhh = &fig.curve("MHH")[0].result;
-        let su = &fig.curve("sub-unsub")[0].result;
+        let fig = figure5(&dense_base(), &[5.0], &builtin(4));
+        let mhh = &fig.column("MHH")[0].result;
+        let su = &fig.column("sub-unsub")[0].result;
         assert!(mhh.reliable(), "{:?}", mhh.audit);
         assert!(su.reliable(), "{:?}", su.audit);
         assert!(
@@ -927,17 +677,18 @@ mod tests {
 
     #[test]
     fn figure6_sweep_produces_all_curves() {
-        let fig = figure6_in(&ProtocolRegistry::builtin(), &tiny_base(), &[3, 4], 4);
+        let fig = figure6(&tiny_base(), &[3, 4], &builtin(4));
         assert_eq!(fig.points.len(), 6);
+        assert_eq!(fig.rows(), [&Label::Num(9.0), &Label::Num(16.0)]);
         for proto in Protocol::ALL {
-            assert_eq!(fig.overhead_series(proto.label()).len(), 2);
-            assert_eq!(fig.delay_series(proto.label()).len(), 2);
+            let curve = fig.column(proto.label());
+            assert_eq!(curve.len(), 2);
             // Every point produced at least one handoff and a sane delay.
-            for p in fig.curve(proto.label()) {
+            for p in curve {
                 assert!(
                     p.result.handoffs > 0,
-                    "{proto:?} point {} had no handoffs",
-                    p.x
+                    "{proto:?} point {:?} had no handoffs",
+                    p.label("x")
                 );
                 assert!(p.result.avg_handoff_delay_ms >= 0.0);
             }
@@ -953,9 +704,11 @@ mod tests {
             pause_mean_s: 2_000.0,
         };
         let models = [short.clone(), long.clone()];
-        let matrix = mobility_matrix_in(&ProtocolRegistry::builtin(), &tiny_base(), &models, 4);
+        let matrix = mobility_matrix(&tiny_base(), &models, &builtin(4));
         assert_eq!(matrix.points.len(), 6);
-        assert_eq!(matrix.models(), vec![&short, &long]);
+        let rows = matrix.rows();
+        assert_eq!(rows.len(), 2);
+        assert!(*rows[0] == short && *rows[1] == long, "{rows:?}");
         let s = matrix.cell(&short, "MHH").expect("short-pause cell");
         let l = matrix.cell(&long, "MHH").expect("long-pause cell");
         assert!(
@@ -969,14 +722,8 @@ mod tests {
 
     #[test]
     fn exhausted_budget_reports_skipped_points() {
-        let registry = ProtocolRegistry::builtin();
-        let fig = figure5_budgeted_in(
-            &registry,
-            &tiny_base(),
-            &[5.0, 60.0],
-            2,
-            Some(Duration::ZERO),
-        );
+        let sweep = starved(builtin(2));
+        let fig = figure5(&tiny_base(), &[5.0, 60.0], &sweep);
         assert!(fig.points.is_empty());
         assert_eq!(fig.skipped.len(), 6, "every point recorded as skipped");
         assert!(
@@ -985,62 +732,62 @@ mod tests {
             fig.skipped
         );
 
-        let matrix = mobility_matrix_budgeted_in(
-            &registry,
-            &tiny_base(),
-            &[ModelKind::UniformRandom],
-            2,
-            Some(Duration::ZERO),
-        );
+        let matrix = mobility_matrix(&tiny_base(), &[ModelKind::UniformRandom], &sweep);
         assert!(matrix.points.is_empty());
         assert_eq!(matrix.skipped.len(), 3);
 
         // A generous budget completes everything and reports nothing.
-        let full = figure5_budgeted_in(
-            &registry,
-            &tiny_base(),
-            &[5.0],
-            2,
-            Some(Duration::from_secs(3600)),
-        );
+        let generous = Sweep {
+            budget: Some(Duration::from_secs(3600)),
+            ..builtin(2)
+        };
+        let full = figure5(&tiny_base(), &[5.0], &generous);
         assert!(full.skipped.is_empty());
         assert_eq!(full.points.len(), 3);
 
         // The comparison drops whole pairs under an exhausted budget.
-        let cmp =
-            proclaimed_comparison_budgeted_in(&registry, &tiny_base(), 2, Some(Duration::ZERO));
+        let cmp = proclaimed_comparison(&tiny_base(), &sweep);
         assert!(cmp.points.is_empty());
         assert_eq!(cmp.skipped, vec!["sub-unsub", "MHH", "HB"]);
     }
 
     #[test]
     fn proclaimed_comparison_is_paired_and_helps_mhh() {
-        let cmp = proclaimed_comparison_in(&ProtocolRegistry::builtin(), &dense_base(), 4);
-        assert_eq!(cmp.points.len(), 3);
+        let cmp = proclaimed_comparison(&dense_base(), &builtin(4));
+        assert_eq!(cmp.rows().len(), 3);
+        assert_eq!(cmp.points.len(), 6);
         assert!(cmp.skipped.is_empty());
-        let mhh = cmp.point("MHH").expect("builtin");
+        let reactive = cmp.cell("MHH", "reactive").expect("builtin");
+        let proclaimed = cmp.cell("MHH", "proclaimed").expect("builtin");
         // Paired: identical move schedule on both sides.
-        assert_eq!(mhh.reactive.handoffs, mhh.proclaimed.handoffs);
-        assert_eq!(mhh.reactive.proclaimed_handoffs(), 0);
+        assert_eq!(reactive.result.handoffs, proclaimed.result.handoffs);
+        assert_eq!(reactive.result.proclaimed_handoffs(), 0);
         assert_eq!(
-            mhh.proclaimed.proclaimed_handoffs(),
-            mhh.proclaimed.handoffs
+            proclaimed.result.proclaimed_handoffs(),
+            proclaimed.result.handoffs
         );
         // Migrating ahead of the client must shrink the disruption window.
         assert!(
-            mhh.proclaimed_gap_ms() < mhh.reactive_gap_ms(),
+            proclaimed.result.avg_handoff_delay_ms < reactive.result.avg_handoff_delay_ms,
             "proclaimed {} ms must beat reactive {} ms",
-            mhh.proclaimed_gap_ms(),
-            mhh.reactive_gap_ms()
+            proclaimed.result.avg_handoff_delay_ms,
+            reactive.result.avg_handoff_delay_ms
         );
-        assert!(mhh.gap_reduction() > 0.0);
-        assert!(mhh.proclaimed.reliable(), "{:?}", mhh.proclaimed.audit);
+        let reduction = gap_reduction(&reactive.result, &proclaimed.result);
+        assert!(reduction > 0.0);
+        for half in [reactive, proclaimed] {
+            assert_eq!(half.label("gap_reduction"), Some(&Label::Num(reduction)));
+        }
+        assert!(
+            proclaimed.result.reliable(),
+            "{:?}",
+            proclaimed.result.audit
+        );
     }
 
     #[test]
     fn failure_panel_runs_four_protocols_on_faulty_presets_and_reconciles() {
         use crate::config::FaultPlan;
-        use crate::scenarios::Scenario;
         // Two tiny fault presets so the panel smoke-runs in seconds.
         let base = ScenarioConfig {
             duration_s: 200.0,
@@ -1064,20 +811,20 @@ mod tests {
                 }),
             },
         ];
-        let registry = ProtocolRegistry::extended();
-        let panel = failure_panel_in(&registry, &presets, 4);
+        let extended = sweep_of(ProtocolRegistry::extended(), 4);
+        let panel = failure_panel(&presets, &extended);
         assert_eq!(panel.points.len(), 8, "2 presets × 4 protocols");
         assert!(panel.skipped.is_empty());
-        assert_eq!(panel.scenarios(), vec!["tiny-crash", "tiny-partition"]);
-        assert_eq!(panel.protocols(), vec!["sub-unsub", "MHH", "HB", "PSVR"]);
+        assert_eq!(panel.rows(), ["tiny-crash", "tiny-partition"]);
+        assert_eq!(panel.cols(), ["sub-unsub", "MHH", "HB", "PSVR"]);
         for p in &panel.points {
             assert_eq!(p.result.recovery.len(), 1, "one injected window");
-            // Reconciliation is asserted inside the panel; double-check the
+            // Reconciliation is asserted inside the sweep; double-check the
             // invariant is really exact here too.
             assert!(p.result.recovery.reconciles_with(&p.result.audit));
         }
         // A budget of zero skips whole cells, never half-reports them.
-        let starved = failure_panel_budgeted_in(&registry, &presets, 2, Some(Duration::ZERO));
+        let starved = failure_panel(&presets, &starved(extended));
         assert!(starved.points.is_empty());
         assert_eq!(starved.skipped.len(), 8);
         assert!(starved.skipped.iter().any(|s| s.contains("PSVR")));
@@ -1102,13 +849,12 @@ mod tests {
             crash_storm: Some((3, 20.0)),
             ..FaultPlan::default()
         });
-        let registry = ProtocolRegistry::extended();
-        let panel = reliability_panel_budgeted_in(&registry, &base, 4, None);
+        let panel = reliability_panel(&base, &sweep_of(ProtocolRegistry::extended(), 4));
         assert_eq!(panel.points.len(), 12, "3 modes × 4 protocols");
         assert!(panel.skipped.is_empty());
-        assert_eq!(panel.modes(), RELIABILITY_MODES.to_vec());
-        assert_eq!(panel.protocols(), vec!["sub-unsub", "MHH", "HB", "PSVR"]);
-        for proto in panel.protocols() {
+        assert_eq!(panel.rows(), RELIABILITY_MODES.map(|(mode, _)| mode));
+        assert_eq!(panel.cols(), ["sub-unsub", "MHH", "HB", "PSVR"]);
+        for proto in panel.cols() {
             let baseline = &panel.cell("baseline", proto).unwrap().result;
             let dedup = &panel.cell("dedup", proto).unwrap().result;
             let full = &panel.cell("dedup+retransmit", proto).unwrap().result;
@@ -1151,7 +897,6 @@ mod tests {
 
     #[test]
     fn registered_protocols_join_every_sweep() {
-        use crate::protocols::ProtocolSpec;
         use mhh_pubsub::{broker::NoProtocol, erase};
         let mut registry = ProtocolRegistry::builtin();
         registry.register(ProtocolSpec::new(
@@ -1160,9 +905,13 @@ mod tests {
             "no mobility support",
             |_, _| Box::new(|_| erase(NoProtocol)),
         ));
-        let matrix = mobility_matrix_in(&registry, &tiny_base(), &[ModelKind::UniformRandom], 2);
+        let matrix = mobility_matrix(
+            &tiny_base(),
+            &[ModelKind::UniformRandom],
+            &sweep_of(registry, 2),
+        );
         assert_eq!(matrix.points.len(), 4);
-        assert_eq!(matrix.protocols(), vec!["sub-unsub", "MHH", "HB", "static"]);
+        assert_eq!(matrix.cols(), ["sub-unsub", "MHH", "HB", "static"]);
         assert!(matrix.cell(&ModelKind::UniformRandom, "static").is_some());
     }
 }

@@ -1,8 +1,8 @@
 //! A minimal JSON document model and pretty-printer.
 //!
 //! The build environment has no network access, so `serde_json` is not
-//! available; experiment reports and the bench trajectory files
-//! (`BENCH_mobility.json`) are emitted through this module instead. Only
+//! available; experiment reports and the benchmark's result lines are
+//! emitted through this module instead. Only
 //! what the reports need is implemented: construction and serialisation —
 //! parsing is out of scope.
 

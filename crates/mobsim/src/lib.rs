@@ -67,10 +67,8 @@ pub use builder::{Sim, SimBuilder, SimError};
 pub use config::{FaultPlan, Protocol, ScenarioConfig};
 pub use experiments::{
     failure_panel, figure5, figure6, mobility_matrix, proclaimed_comparison, reliability_panel,
-    traffic_panel, ExperimentPoint, FailurePanelPoint, FailurePanelResult, FigureResult,
-    MatrixPoint, MatrixResult, ProclaimedComparePoint, ProclaimedCompareResult,
-    ReliabilityPanelPoint, ReliabilityPanelResult, TrafficPanelPoint, TrafficPanelResult,
-    FAILURE_PRESETS, RELIABILITY_MODES, TRAFFIC_PRESETS,
+    traffic_panel, Label, Panel, PanelPoint, Sweep, FAILURE_PRESETS, RELIABILITY_MODES,
+    TRAFFIC_PRESETS,
 };
 pub use metrics::{
     GapPercentiles, HandoverKind, HandoverLedger, HandoverRecord, OutageRecord, RecoveryLedger,
@@ -80,8 +78,6 @@ pub use mhh_mobility::ModelKind;
 pub use mhh_pubsub::FanoutMode;
 pub use mhh_simnet::TopologyKind;
 pub use protocols::{ProtocolRegistry, ProtocolSpec};
-pub use runner::{
-    run_named, run_scenario, run_scenario_perf, run_scenario_phases, run_spec, run_spec_perf,
-};
+pub use runner::{run_named, run_scenario, run_spec, run_spec_perf};
 pub use scenarios::Scenario;
 pub use workload::Workload;

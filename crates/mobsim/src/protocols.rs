@@ -75,12 +75,10 @@ pub fn sub_unsub_wait(config: &ScenarioConfig, network: &Network) -> SimDuration
 /// abandoned roots, not ordinary handoffs.
 const PSVR_LEASE: SimDuration = SimDuration::from_millis(10_000);
 
-/// The MHH constructor shared by the generic fast path
-/// ([`run_scenario`](crate::runner::run_scenario)) and the registry spec, so
-/// the dyn and generic paths stay byte-identical: plain [`Mhh::new`] on the
+/// The MHH constructor of the registry spec: plain [`Mhh::new`] on the
 /// zero-fault fast path, [`Mhh::with_recovery`] (the migration retry/abort
 /// watchdog) when the scenario injects faults.
-pub(crate) fn mhh_for(config: &ScenarioConfig) -> Mhh {
+fn mhh_for(config: &ScenarioConfig) -> Mhh {
     if config.faults.is_empty() {
         Mhh::new()
     } else {

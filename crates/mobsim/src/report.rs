@@ -1,44 +1,175 @@
 //! Plain-text and JSON reporting of experiment results.
 //!
-//! Tables are fully data-driven: protocol columns come from the points
-//! themselves (first-seen order = registry order), so a figure or matrix
-//! run with extra registered protocols renders extra columns without any
-//! change here.
+//! Every experiment returns a [`Panel`], so everything here is written once:
+//! one row × column table (`pivot`) under all the per-metric panels, one
+//! fixed-column table (`table`) under the per-protocol summaries, one
+//! `skipped` footer, one JSON export ([`panel_json`]). The renderers differ
+//! only in which tables they stack. Tables are fully data-driven: protocol
+//! columns come from the points themselves (first-seen order = registry
+//! order), so a figure or matrix run with extra registered protocols renders
+//! extra columns without any change here.
 
 use std::fmt::Write as _;
 
-use crate::experiments::{
-    FailurePanelResult, FigureResult, MatrixResult, ProclaimedCompareResult,
-    ReliabilityPanelResult, TrafficPanelResult,
-};
+use mhh_pubsub::FanoutMode;
+
+use crate::experiments::{gap_reduction, Label, Panel, HANDOVER_KINDS};
 use crate::json::Json;
 use crate::metrics::{HandoverKind, HandoverLedger, RecoveryLedger, RunResult, TrafficReport};
+
+/// The one row × column table of the reports. `rows` are the formatted row
+/// labels, right-aligned to `width`; `cell(i, col)` is the formatted value
+/// at row `i` (`None` prints `-`). With a `corner` title the table gets a
+/// header naming the columns and a rule, and cells are padded to 12; without
+/// one (the compact reliability and handover-mix lines) each cell is closed
+/// with ` |` instead.
+fn pivot(
+    out: &mut String,
+    width: usize,
+    corner: Option<&str>,
+    rows: &[String],
+    cols: &[&Label],
+    cell: impl Fn(usize, &Label) -> Option<String>,
+) {
+    if let Some(corner) = corner {
+        let _ = write!(out, "{corner:>width$}");
+        for col in cols {
+            let _ = write!(out, " | {col:>12}");
+        }
+        let _ = writeln!(out);
+        let _ = writeln!(out, "{}", "-".repeat(width + cols.len() * 15));
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let _ = write!(out, "{row:>width$}");
+        if corner.is_none() {
+            out.push_str(" |");
+        }
+        for col in cols {
+            let value = cell(i, col).unwrap_or_else(|| "-".to_string());
+            let _ = match corner {
+                Some(_) => write!(out, " | {value:>12}"),
+                None => write!(out, " {value} |"),
+            };
+        }
+        let _ = writeln!(out);
+    }
+}
+
+/// How one metric of a run prints in a table cell (`None` prints `-`).
+type Metric = fn(&RunResult) -> Option<String>;
+
+/// The paper's two metrics, as every panel prints them.
+const OVERHEAD: Metric = |r| Some(format!("{:.1}", r.overhead_per_handoff));
+const DELAY: Metric = |r| Some(format!("{:.1}", r.avg_handoff_delay_ms));
+
+/// One titled metric of a panel as a [`pivot`] over the panel's own rows and
+/// columns (a missing cell prints `-` too).
+fn metric_table(
+    out: &mut String,
+    panel: &Panel,
+    title: &str,
+    width: usize,
+    corner: Option<&str>,
+    value: impl Fn(&RunResult) -> Option<String>,
+) {
+    let _ = writeln!(out, "-- {title} --");
+    let rows = panel.rows();
+    let names: Vec<String> = rows.iter().map(|row| row.to_string()).collect();
+    pivot(out, width, corner, &names, &panel.cols(), |i, col| {
+        panel.cell(rows[i], col).and_then(|p| value(&p.result))
+    });
+}
+
+/// One value column of a fixed-layout table: its title, its width, and how
+/// a row prints in it.
+type Column<T> = (&'static str, usize, fn(&T) -> String);
+
+/// The one fixed-column table of the reports. Every row is a name (under the
+/// `lead` title and width) and a value the `columns` print; the titles and a
+/// rule of `rule` dashes go first, every cell is right-aligned to its width.
+fn table<T>(
+    out: &mut String,
+    rule: usize,
+    lead: (&str, usize),
+    columns: &[Column<T>],
+    rows: &[(String, T)],
+) {
+    let (lead_title, lead_width) = lead;
+    let _ = write!(out, "{lead_title:>lead_width$}");
+    for &(title, width, _) in columns {
+        let _ = write!(out, " | {title:>width$}");
+    }
+    let _ = writeln!(out);
+    let _ = writeln!(out, "{}", "-".repeat(rule));
+    for (name, row) in rows {
+        let _ = write!(out, "{name:>lead_width$}");
+        for &(_, width, value) in columns {
+            let _ = write!(out, " | {:>width$}", value(row));
+        }
+        let _ = writeln!(out);
+    }
+}
+
+/// The closing line of a budgeted report that left cells out.
+fn skipped_footer(out: &mut String, skipped: &[String]) {
+    if !skipped.is_empty() {
+        let _ = writeln!(
+            out,
+            "-- skipped (wall-clock budget exhausted): {} --",
+            skipped.join(", ")
+        );
+    }
+}
+
+/// A ledger's first-delivery gap percentiles as `p50/p95/p99`.
+fn gap_cell(ledger: &HandoverLedger) -> Option<String> {
+    ledger
+        .gap_percentiles_ms()
+        .map(|g| format!("{:.0}/{:.0}/{:.0}", g.p50, g.p95, g.p99))
+}
+
+/// Whole milliseconds, or `-` when there is no sample.
+fn opt_ms(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".to_string(), |x| format!("{x:.0}"))
+}
 
 /// Render one figure as fixed-width tables (overhead, mean-delay and
 /// delay-percentile panels), in the same orientation as the paper's plots:
 /// one row per x value, one column per protocol. Points that ran on a
 /// non-grid topology announce it in the header.
-pub fn render_figure(fig: &FigureResult) -> String {
+pub fn render_figure(fig: &Panel) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {} ==", fig.name);
-    let mut topologies: Vec<&str> = fig.points.iter().map(|p| p.topology.as_str()).collect();
+    let mut topologies: Vec<String> = fig
+        .points
+        .iter()
+        .filter_map(|p| Some(p.label("topology")?.to_string()))
+        .collect();
     topologies.sort_unstable();
     topologies.dedup();
-    if topologies.iter().any(|t| *t != "grid") {
+    if topologies.iter().any(|t| t != "grid") {
         let _ = writeln!(out, "-- topology: {} --", topologies.join(", "));
     }
-    let _ = writeln!(out, "-- (a) message overhead per handoff (hops) --");
-    out.push_str(&render_panel(fig, &fig.x_label, |p| {
-        p.result.overhead_per_handoff
-    }));
-    let _ = writeln!(out, "-- (b) average handoff delay (ms) --");
-    out.push_str(&render_panel(fig, &fig.x_label, |p| {
-        p.result.avg_handoff_delay_ms
-    }));
-    let _ = writeln!(out, "-- (c) first-delivery gap p50/p95/p99 (ms) --");
-    out.push_str(&render_gap_percentiles(fig));
-    let _ = writeln!(out, "-- reliability (lost / duplicated / out-of-order) --");
-    out.push_str(&render_reliability(fig));
+    // (title, whether it gets the header row, the cell of a run).
+    let tables: [(&str, bool, Metric); 4] = [
+        ("(a) message overhead per handoff (hops)", true, OVERHEAD),
+        ("(b) average handoff delay (ms)", true, DELAY),
+        ("(c) first-delivery gap p50/p95/p99 (ms)", true, |r| {
+            gap_cell(&r.ledger)
+        }),
+        (
+            "reliability (lost / duplicated / out-of-order)",
+            false,
+            |r| {
+                let a = &r.audit;
+                Some(format!("{}/{}/{}", a.lost, a.duplicates, a.out_of_order))
+            },
+        ),
+    ];
+    for (title, headed, value) in tables {
+        let corner = fig.x_label.as_deref().filter(|_| headed);
+        metric_table(&mut out, fig, title, 28, corner, value);
+    }
     // The handover-mix panel only appears when some run actually proclaimed
     // a move, so purely reactive figures render exactly as before.
     if fig
@@ -46,135 +177,267 @@ pub fn render_figure(fig: &FigureResult) -> String {
         .iter()
         .any(|p| p.result.proclaimed_handoffs() > 0)
     {
-        let _ = writeln!(out, "-- handover mix (proclaimed/reactive) --");
-        out.push_str(&render_handover_mix(fig));
+        let title = "handover mix (proclaimed/reactive)";
+        metric_table(&mut out, fig, title, 28, None, |r| {
+            let (proclaimed, reactive) = (r.proclaimed_handoffs(), r.reactive_handoffs());
+            Some(format!("{proclaimed}/{reactive}"))
+        });
     }
-    if !fig.skipped.is_empty() {
+    skipped_footer(&mut out, &fig.skipped);
+    out
+}
+
+/// Render the mobility-model × protocol matrix as fixed-width tables: one
+/// row per model parameter point, one column per protocol, one table per
+/// metric.
+pub fn render_matrix(matrix: &Panel) -> String {
+    let width = matrix
+        .rows()
+        .iter()
+        .map(|model| model.to_string().len())
+        .max()
+        .unwrap_or(0)
+        .max(20);
+    let mut out = String::new();
+    let _ = writeln!(out, "== mobility-model x protocol matrix ==");
+    let metrics: [(&str, Metric); 3] = [
+        ("message overhead per handoff (hops)", OVERHEAD),
+        ("average handoff delay (ms)", DELAY),
+        ("lost events", |r| {
+            Some(format!("{:.1}", r.audit.lost as f64))
+        }),
+    ];
+    for (title, metric) in metrics {
+        metric_table(&mut out, matrix, title, width, Some("model"), metric);
+    }
+    out
+}
+
+/// Render the reactive-vs-proclaimed comparison as a fixed-width table: one
+/// row per protocol, the paired per-handover first-delivery gaps, the
+/// reduction the proclamation bought, and the paired overhead.
+pub fn render_proclaimed(cmp: &Panel) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "== reactive (§4.2) vs proclaimed (§4.1) handovers ==");
+    // [reactive, proclaimed] per protocol.
+    let pairs: Vec<(String, [&RunResult; 2])> = cmp
+        .rows()
+        .into_iter()
+        .filter_map(|protocol| {
+            let [reactive, proclaimed] = HANDOVER_KINDS.map(|(kind, _)| cmp.cell(protocol, kind));
+            let pair = [&reactive?.result, &proclaimed?.result];
+            Some((protocol.to_string(), pair))
+        })
+        .collect();
+    let columns: [Column<[&RunResult; 2]>; 5] = [
+        ("reactive gap ms", 16, |[r, _]| {
+            format!("{:.1}", r.avg_handoff_delay_ms)
+        }),
+        ("proclaimed gap ms", 17, |[_, p]| {
+            format!("{:.1}", p.avg_handoff_delay_ms)
+        }),
+        ("reduction", 9, |[r, p]| {
+            format!("{:.0}%", gap_reduction(r, p) * 100.0)
+        }),
+        ("reactive ovh", 14, |[r, _]| {
+            format!("{:.1}", r.overhead_per_handoff)
+        }),
+        ("proclaimed ovh", 14, |[_, p]| {
+            format!("{:.1}", p.overhead_per_handoff)
+        }),
+    ];
+    table(&mut out, 96, ("protocol", 12), &columns, &pairs);
+    // The tail the means hide: per-kind gap percentiles from the ledgers.
+    let _ = writeln!(out, "-- first-delivery gap p50/p95/p99 (ms) --");
+    let gaps = |r: &RunResult| gap_cell(&r.ledger).unwrap_or_else(|| "-".to_string());
+    for (protocol, [reactive, proclaimed]) in &pairs {
         let _ = writeln!(
             out,
-            "-- skipped (wall-clock budget exhausted): {} --",
-            fig.skipped.join(", ")
+            "{protocol:>12} | reactive {:>16} | proclaimed {:>16}",
+            gaps(reactive),
+            gaps(proclaimed),
         );
     }
+    skipped_footer(&mut out, &cmp.skipped);
     out
 }
 
-fn render_handover_mix(fig: &FigureResult) -> String {
+/// Render the failure panel as fixed-width tables: per fault preset, one
+/// protocol-summary table (drops, losses, duplicates, time-to-repair) and
+/// one per-outage table (each injected window's losses and observed
+/// time-to-repair per protocol).
+pub fn render_failure_panel(panel: &Panel) -> String {
     let mut out = String::new();
-    for x in x_values(fig) {
-        let _ = write!(out, "{x:>28} |");
-        for proto in fig.protocols() {
-            if let Some(p) = fig
-                .points
-                .iter()
-                .find(|p| p.protocol == proto && (p.x - x).abs() < 1e-9)
-            {
-                let _ = write!(
+    let _ = writeln!(out, "== failure & recovery panel ==");
+    let columns: [Column<&RunResult>; 9] = [
+        ("dropped", 8, |r| r.recovery.total_dropped().to_string()),
+        ("lost", 6, |r| r.recovery.total_lost().to_string()),
+        ("dup", 6, |r| r.recovery.total_duplicates().to_string()),
+        ("suppressed", 10, |r| {
+            r.recovery.duplicates_suppressed.to_string()
+        }),
+        ("retrans", 7, |r| r.recovery.retransmissions.to_string()),
+        ("unattr l/d", 10, |r| {
+            let rec = &r.recovery;
+            format!("{}/{}", rec.unattributed_lost, rec.unattributed_duplicates)
+        }),
+        ("loss rate", 9, |r| format!("{:.2}%", r.loss_rate() * 100.0)),
+        ("mean repair ms", 14, |r| {
+            opt_ms(r.recovery.mean_repair_ms())
+        }),
+        ("max repair ms", 13, |r| opt_ms(r.recovery.max_repair_ms())),
+    ];
+    for scenario in panel.rows() {
+        let _ = writeln!(out, "-- {scenario} --");
+        let runs = Vec::from_iter(panel.cols().into_iter().filter_map(|protocol| {
+            let cell = panel.cell(scenario, protocol)?;
+            Some((protocol.to_string(), &cell.result))
+        }));
+        table(&mut out, 122, ("protocol", 12), &columns, &runs);
+        // Loss-by-cause line, only when lossy links actually dropped
+        // something (zero-loss panels render exactly as before).
+        for (protocol, r) in &runs {
+            let rec = &r.recovery;
+            if rec.lost_envelopes > 0 || rec.corrupted > 0 {
+                let _ = writeln!(
                     out,
-                    " {}/{} |",
-                    p.result.proclaimed_handoffs(),
-                    p.result.reactive_handoffs()
+                    "{protocol:>12} : link drops — {} lost, {} corrupted",
+                    rec.lost_envelopes, rec.corrupted
                 );
-            } else {
-                let _ = write!(out, " - |");
+            }
+            if rec.stale_resubscribes > 0 {
+                let _ = writeln!(
+                    out,
+                    "{protocol:>12} : {} re-subscribes forced by stale checkpoint replicas",
+                    rec.stale_resubscribes
+                );
             }
         }
-        let _ = writeln!(out);
+        // The injected schedule is identical for every protocol of a preset,
+        // so row labels come from the first cell that has them.
+        let Some((_, first)) = runs.first().filter(|(_, r)| !r.recovery.is_empty()) else {
+            continue;
+        };
+        let _ = writeln!(out, "-- {scenario}: per-outage lost / repair ms --");
+        let outages: Vec<String> = first
+            .recovery
+            .records
+            .iter()
+            .map(|o| {
+                let secs = |t: mhh_simnet::SimTime| t.as_millis_f64() / 1_000.0;
+                let (start, end) = (secs(o.start), secs(o.end));
+                format!("{} {} [{start:.0}s,{end:.0}s)", o.kind, o.scope)
+            })
+            .collect();
+        pivot(
+            &mut out,
+            34,
+            Some("outage"),
+            &outages,
+            &panel.cols(),
+            |i, col| {
+                let outage = panel.cell(scenario, col)?.result.recovery.records.get(i)?;
+                Some(format!("{} / {}", outage.lost, opt_ms(outage.repair_ms)))
+            },
+        );
     }
+    skipped_footer(&mut out, &panel.skipped);
     out
 }
 
-fn render_gap_percentiles(fig: &FigureResult) -> String {
-    let protocols = fig.protocols();
-    let mut out = panel_header(&fig.x_label, &protocols);
-    for x in x_values(fig) {
-        let _ = write!(out, "{x:>28}");
-        for proto in &protocols {
-            let point = fig
-                .points
-                .iter()
-                .find(|p| p.protocol == *proto && (p.x - x).abs() < 1e-9);
-            match point.and_then(|p| p.result.ledger.gap_percentiles_ms()) {
-                Some(g) => {
-                    let cell = format!("{:.0}/{:.0}/{:.0}", g.p50, g.p95, g.p99);
-                    let _ = write!(out, " | {cell:>12}");
-                }
-                None => {
-                    let _ = write!(out, " | {:>12}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// The shared `{x_label} | proto | proto …` header + separator line of the
-/// figure panels.
-fn panel_header(x_label: &str, protocols: &[&str]) -> String {
+/// Render the reliability panel as one fixed-width trade-off table per
+/// protocol: a row per reliability mode (baseline / dedup /
+/// dedup+retransmit) with the audited losses and duplicates, the broker's
+/// suppression work, the publisher's retransmission work and the per-cause
+/// drop accounting — the end-to-end delivery-guarantee trade-off at a
+/// glance.
+pub fn render_reliability_panel(panel: &Panel) -> String {
     let mut out = String::new();
-    let _ = write!(out, "{x_label:>28}");
-    for proto in protocols {
-        let _ = write!(out, " | {proto:>12}");
+    let _ = writeln!(out, "== reliability trade-off panel (lossy links) ==");
+    let columns: [Column<&RunResult>; 8] = [
+        ("lost", 6, |r| r.audit.lost.to_string()),
+        ("dup", 6, |r| r.audit.duplicates.to_string()),
+        ("suppressed", 10, |r| {
+            r.recovery.duplicates_suppressed.to_string()
+        }),
+        ("retrans", 7, |r| r.recovery.retransmissions.to_string()),
+        ("link l/c", 10, |r| {
+            format!("{}/{}", r.recovery.lost_envelopes, r.recovery.corrupted)
+        }),
+        ("resubs", 9, |r| r.recovery.stale_resubscribes.to_string()),
+        ("dropped", 7, |r| r.recovery.total_dropped().to_string()),
+        ("deliv msgs", 12, |r| r.delivered_messages.to_string()),
+    ];
+    for protocol in panel.cols() {
+        let _ = writeln!(out, "-- {protocol} --");
+        let modes = panel.rows().into_iter().filter_map(|mode| {
+            let cell = panel.cell(mode, protocol)?;
+            Some((mode.to_string(), &cell.result))
+        });
+        table(
+            &mut out,
+            106,
+            ("mode", 17),
+            &columns,
+            &Vec::from_iter(modes),
+        );
     }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", "-".repeat(28 + protocols.len() * 15));
+    skipped_footer(&mut out, &panel.skipped);
     out
 }
 
-fn x_values(fig: &FigureResult) -> Vec<f64> {
-    let mut xs: Vec<f64> = fig.points.iter().map(|p| p.x).collect();
-    xs.sort_by(f64::total_cmp);
-    xs.dedup();
-    xs
-}
-
-fn render_panel(
-    fig: &FigureResult,
-    x_label: &str,
-    metric: impl Fn(&crate::experiments::ExperimentPoint) -> f64,
-) -> String {
-    let protocols = fig.protocols();
-    let mut out = panel_header(x_label, &protocols);
-    for x in x_values(fig) {
-        let _ = write!(out, "{x:>28}");
-        for proto in &protocols {
-            match fig
-                .points
-                .iter()
-                .find(|p| p.protocol == *proto && (p.x - x).abs() < 1e-9)
-            {
-                Some(p) => {
-                    let _ = write!(out, " | {:12.1}", metric(p));
-                }
-                None => {
-                    let _ = write!(out, " | {:>12}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-fn render_reliability(fig: &FigureResult) -> String {
+/// Render the traffic panel as fixed-width tables: per storm preset, one
+/// row per fan-out mode (serialize-once cached vs clone-per-destination)
+/// with delivery and serialization byte counters, followed by the cached
+/// path's savings factors. Delivery columns are identical between modes by
+/// construction — the panel asserts it — so the table makes the
+/// accounting-only nature of the cache visible at a glance.
+pub fn render_traffic(panel: &Panel) -> String {
     let mut out = String::new();
-    for x in x_values(fig) {
-        let _ = write!(out, "{x:>28} |");
-        for proto in fig.protocols() {
-            if let Some(p) = fig
-                .points
-                .iter()
-                .find(|p| p.protocol == proto && (p.x - x).abs() < 1e-9)
-            {
-                let a = &p.result.audit;
-                let _ = write!(out, " {}/{}/{} |", a.lost, a.duplicates, a.out_of_order);
-            } else {
-                let _ = write!(out, " - |");
+    let _ = writeln!(out, "== payload traffic panel (mhh) ==");
+    let ratio = |clone: u64, cached: u64| -> String {
+        if cached == 0 {
+            if clone == 0 { "-" } else { "inf" }.to_string()
+        } else {
+            format!("{:.1}x", clone as f64 / cached as f64)
+        }
+    };
+    let columns: [Column<&RunResult>; 7] = [
+        ("delivered", 9, |r| r.delivered_messages.to_string()),
+        ("deliv bytes", 12, |r| r.traffic.delivery_bytes.to_string()),
+        ("fanouts", 8, |r| r.traffic.fanouts.to_string()),
+        ("serialize", 10, |r| r.traffic.serializations.to_string()),
+        ("bytes ser", 12, |r| r.traffic.bytes_serialized.to_string()),
+        ("allocs", 10, |r| r.traffic.fanout_allocs.to_string()),
+        ("cache hits", 10, |r| r.traffic.cache_hits.to_string()),
+    ];
+    for scenario in panel.rows() {
+        let _ = writeln!(out, "-- {scenario} --");
+        // Cached first, whichever cell a budgeted sweep finished first.
+        let modes = [FanoutMode::Cached, FanoutMode::CloneBaseline].map(FanoutMode::label);
+        let runs = Vec::from_iter(modes.iter().filter_map(|mode| {
+            let cell = panel.cell(scenario, *mode)?;
+            Some((mode.to_string(), &cell.result))
+        }));
+        table(&mut out, 98, ("mode", 8), &columns, &runs);
+        if let [(_, cached), (_, clone)] = runs[..] {
+            let (ct, bt) = (&cached.traffic, &clone.traffic);
+            let _ = writeln!(
+                out,
+                "   cached saves: {} fewer fan-out allocations, {} fewer bytes serialized",
+                ratio(bt.fanout_allocs, ct.fanout_allocs),
+                ratio(bt.bytes_serialized, ct.bytes_serialized),
+            );
+            if ct.buffered_bytes_peak > 0 || ct.checkpoint_bytes_peak > 0 {
+                let _ = writeln!(
+                    out,
+                    "   memory high-water: buffered {} B, checkpoints {} B",
+                    ct.buffered_bytes_peak, ct.checkpoint_bytes_peak
+                );
             }
         }
-        let _ = writeln!(out);
     }
+    skipped_footer(&mut out, &panel.skipped);
     out
 }
 
@@ -312,39 +575,6 @@ pub fn recovery_json(ledger: &RecoveryLedger) -> Json {
     ])
 }
 
-/// Serialise a figure to pretty JSON (written next to EXPERIMENTS.md so the
-/// numbers in the write-up can be regenerated). Budget-skipped points are
-/// listed under `"skipped"` so a truncated sweep is distinguishable from a
-/// complete one.
-pub fn to_json(fig: &FigureResult) -> String {
-    Json::obj(vec![
-        ("name", Json::str(&fig.name)),
-        ("x_label", Json::str(&fig.x_label)),
-        (
-            "points",
-            Json::Arr(
-                fig.points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("x", Json::Num(p.x)),
-                            ("protocol", Json::str(&p.protocol)),
-                            ("mobility", Json::str(&p.mobility)),
-                            ("topology", Json::str(&p.topology)),
-                            ("result", run_result_json(&p.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(fig.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
-}
-
 /// Serialise one ledger as a JSON array of per-handover records (times in
 /// milliseconds), the raw material for external plotting of gap
 /// distributions (`--dump-ledger`).
@@ -383,547 +613,76 @@ pub fn ledger_json(ledger: &HandoverLedger) -> Json {
     )
 }
 
-/// Serialise every per-point ledger of a figure to pretty JSON — one entry
-/// per `(x, protocol)` point with the full handover record list. This is
-/// the `--dump-ledger` export for external plotting.
-pub fn figure_ledgers_json(fig: &FigureResult) -> String {
-    Json::obj(vec![
-        ("name", Json::str(&fig.name)),
-        ("x_label", Json::str(&fig.x_label)),
-        (
-            "points",
-            Json::Arr(
-                fig.points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("x", Json::Num(p.x)),
-                            ("protocol", Json::str(&p.protocol)),
-                            ("mobility", Json::str(&p.mobility)),
-                            ("topology", Json::str(&p.topology)),
-                            ("ledger", ledger_json(&p.result.ledger)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .pretty()
+/// What of each run a panel document carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Projection {
+    /// The full metrics of every run under `"result"` ([`run_result_json`]),
+    /// and the panel's `skipped` list, so a truncated sweep is
+    /// distinguishable from a complete one. This is what `reproduce_figures`
+    /// writes next to EXPERIMENTS.md so the numbers in the write-up can be
+    /// regenerated.
+    Results,
+    /// Only the per-handover records of every run under `"ledger"`
+    /// ([`ledger_json`]): the `--dump-ledger` export for external plotting.
+    Ledgers,
 }
 
-/// Render the failure panel as fixed-width tables: per fault preset, one
-/// protocol-summary table (drops, losses, duplicates, time-to-repair) and
-/// one per-outage table (each injected window's losses and observed
-/// time-to-repair per protocol).
-pub fn render_failure_panel(panel: &FailurePanelResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== failure & recovery panel ==");
-    let fmt_ms = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.0}"),
-        None => "-".to_string(),
+/// Serialise a panel to pretty JSON: a figure's `name` and `x_label`, then
+/// one object per point — its labels in order, then its run as `projection`
+/// says. A [`paired`](Panel::paired) panel writes one object per row
+/// instead: the labels of the row's first point (the column axis left out),
+/// then every column's run under the column's label.
+pub fn panel_json(panel: &Panel, projection: Projection) -> String {
+    let (run_key, run): (&str, fn(&RunResult) -> Json) = match projection {
+        Projection::Results => ("result", run_result_json),
+        Projection::Ledgers => ("ledger", |r| ledger_json(&r.ledger)),
     };
-    for scenario in panel.scenarios() {
-        let _ = writeln!(out, "-- {scenario} --");
-        let _ = writeln!(
-            out,
-            "{:>12} | {:>8} | {:>6} | {:>6} | {:>10} | {:>7} | {:>10} | {:>9} | {:>14} | {:>13}",
-            "protocol",
-            "dropped",
-            "lost",
-            "dup",
-            "suppressed",
-            "retrans",
-            "unattr l/d",
-            "loss rate",
-            "mean repair ms",
-            "max repair ms"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(122));
-        for proto in panel.protocols() {
-            let Some(p) = panel.cell(scenario, proto) else {
-                continue;
-            };
-            let rec = &p.result.recovery;
-            let _ = writeln!(
-                out,
-                "{:>12} | {:>8} | {:>6} | {:>6} | {:>10} | {:>7} | {:>10} | {:>8.2}% | {:>14} | {:>13}",
-                proto,
-                rec.total_dropped(),
-                rec.total_lost(),
-                rec.total_duplicates(),
-                rec.duplicates_suppressed,
-                rec.retransmissions,
-                format!("{}/{}", rec.unattributed_lost, rec.unattributed_duplicates),
-                p.result.loss_rate() * 100.0,
-                fmt_ms(rec.mean_repair_ms()),
-                fmt_ms(rec.max_repair_ms()),
-            );
+    let [row_key, col_key] = panel.axes;
+    let mut objects: Vec<Vec<(String, Json)>> = Vec::new();
+    let mut open_row = None;
+    for point in &panel.points {
+        // A paired panel keeps one object open per row (a row's points are
+        // adjacent) and files each run under its column's label.
+        let column = point.label(col_key).filter(|_| panel.paired);
+        if column.is_none() || open_row != point.label(row_key) {
+            open_row = point.label(row_key);
+            let labels = point
+                .labels
+                .iter()
+                .filter(|(key, _)| !(panel.paired && *key == col_key));
+            objects.push(Vec::from_iter(labels.map(|(key, label)| {
+                let value = match label {
+                    Label::Num(x) => Json::Num(*x),
+                    Label::Text(s) => Json::str(s),
+                };
+                (key.to_string(), value)
+            })));
         }
-        // Loss-by-cause line, only when lossy links actually dropped
-        // something (zero-loss panels render exactly as before).
-        for proto in panel.protocols() {
-            let Some(p) = panel.cell(scenario, proto) else {
-                continue;
-            };
-            let rec = &p.result.recovery;
-            if rec.lost_envelopes > 0 || rec.corrupted > 0 {
-                let _ = writeln!(
-                    out,
-                    "{:>12} : link drops — {} lost, {} corrupted",
-                    proto, rec.lost_envelopes, rec.corrupted
-                );
-            }
-            if rec.stale_resubscribes > 0 {
-                let _ = writeln!(
-                    out,
-                    "{:>12} : {} re-subscribes forced by stale checkpoint replicas",
-                    proto, rec.stale_resubscribes
-                );
-            }
-        }
-        // The injected schedule is identical for every protocol of a preset,
-        // so row labels come from the first cell that has them.
-        let Some(first) = panel
-            .protocols()
-            .iter()
-            .find_map(|proto| panel.cell(scenario, proto))
-        else {
-            continue;
-        };
-        if first.result.recovery.is_empty() {
-            continue;
-        }
-        let protocols = panel.protocols();
-        let _ = writeln!(out, "-- {scenario}: per-outage lost / repair ms --");
-        let _ = write!(out, "{:>34}", "outage");
-        for proto in &protocols {
-            let _ = write!(out, " | {proto:>12}");
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "{}", "-".repeat(34 + protocols.len() * 15));
-        for (i, o) in first.result.recovery.records.iter().enumerate() {
-            let label = format!(
-                "{} {} [{:.0}s,{:.0}s)",
-                o.kind,
-                o.scope,
-                o.start.as_millis_f64() / 1_000.0,
-                o.end.as_millis_f64() / 1_000.0
-            );
-            let _ = write!(out, "{label:>34}");
-            for proto in &protocols {
-                let cell = panel
-                    .cell(scenario, proto)
-                    .and_then(|p| p.result.recovery.records.get(i))
-                    .map(|o| format!("{} / {}", o.lost, fmt_ms(o.repair_ms)))
-                    .unwrap_or_else(|| "-".to_string());
-                let _ = write!(out, " | {cell:>12}");
-            }
-            let _ = writeln!(out);
-        }
+        let key = column.map_or_else(|| run_key.to_string(), Label::to_string);
+        let object = objects.last_mut().expect("an object is open");
+        object.push((key, run(&point.result)));
     }
-    if !panel.skipped.is_empty() {
-        let _ = writeln!(
-            out,
-            "-- skipped (wall-clock budget exhausted): {} --",
-            panel.skipped.join(", ")
-        );
+    let points = objects.into_iter().map(Json::Obj).collect();
+    let mut doc = Vec::new();
+    if let Some(x_label) = &panel.x_label {
+        doc.push(("name", Json::str(&panel.name)));
+        doc.push(("x_label", Json::str(x_label)));
     }
-    out
-}
-
-/// Serialise the failure panel to pretty JSON; each point's `result`
-/// carries the full per-outage recovery section. Budget-skipped cells are
-/// listed under `"skipped"`.
-pub fn failure_to_json(panel: &FailurePanelResult) -> String {
-    Json::obj(vec![
-        (
-            "points",
-            Json::Arr(
-                panel
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("scenario", Json::str(&p.scenario)),
-                            ("protocol", Json::str(&p.protocol)),
-                            ("result", run_result_json(&p.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(panel.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
-}
-
-/// Render the reliability panel as one fixed-width trade-off table per
-/// protocol: a row per reliability mode (baseline / dedup /
-/// dedup+retransmit) with the audited losses and duplicates, the broker's
-/// suppression work, the publisher's retransmission work and the per-cause
-/// drop accounting — the end-to-end delivery-guarantee trade-off at a
-/// glance.
-pub fn render_reliability_panel(panel: &ReliabilityPanelResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== reliability trade-off panel (lossy links) ==");
-    for proto in panel.protocols() {
-        let _ = writeln!(out, "-- {proto} --");
-        let _ = writeln!(
-            out,
-            "{:>17} | {:>6} | {:>6} | {:>10} | {:>7} | {:>10} | {:>9} | {:>7} | {:>12}",
-            "mode",
-            "lost",
-            "dup",
-            "suppressed",
-            "retrans",
-            "link l/c",
-            "resubs",
-            "dropped",
-            "deliv msgs"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(106));
-        for mode in panel.modes() {
-            let Some(p) = panel.cell(mode, proto) else {
-                continue;
-            };
-            let rec = &p.result.recovery;
-            let _ = writeln!(
-                out,
-                "{:>17} | {:>6} | {:>6} | {:>10} | {:>7} | {:>10} | {:>9} | {:>7} | {:>12}",
-                mode,
-                p.result.audit.lost,
-                p.result.audit.duplicates,
-                rec.duplicates_suppressed,
-                rec.retransmissions,
-                format!("{}/{}", rec.lost_envelopes, rec.corrupted),
-                rec.stale_resubscribes,
-                rec.total_dropped(),
-                p.result.delivered_messages,
-            );
-        }
+    doc.push(("points", Json::Arr(points)));
+    if projection == Projection::Results {
+        let skipped = panel.skipped.iter().map(Json::str).collect();
+        doc.push(("skipped", Json::Arr(skipped)));
     }
-    if !panel.skipped.is_empty() {
-        let _ = writeln!(
-            out,
-            "-- skipped (wall-clock budget exhausted): {} --",
-            panel.skipped.join(", ")
-        );
-    }
-    out
-}
-
-/// Serialise the reliability panel to pretty JSON; each point's `result`
-/// carries the recovery ledger's per-cause drop counters and reliability
-/// totals. Budget-skipped cells are listed under `"skipped"`.
-pub fn reliability_to_json(panel: &ReliabilityPanelResult) -> String {
-    Json::obj(vec![
-        (
-            "points",
-            Json::Arr(
-                panel
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("mode", Json::str(&p.mode)),
-                            ("protocol", Json::str(&p.protocol)),
-                            ("result", run_result_json(&p.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(panel.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
-}
-
-/// Render the traffic panel as fixed-width tables: per storm preset, one
-/// row per fan-out mode (serialize-once cached vs clone-per-destination)
-/// with delivery and serialization byte counters, followed by the cached
-/// path's savings factors. Delivery columns are identical between modes by
-/// construction — the panel asserts it — so the table makes the
-/// accounting-only nature of the cache visible at a glance.
-pub fn render_traffic(panel: &TrafficPanelResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== payload traffic panel (mhh) ==");
-    let ratio = |clone: u64, cached: u64| -> String {
-        if cached == 0 {
-            if clone == 0 {
-                "-".to_string()
-            } else {
-                "inf".to_string()
-            }
-        } else {
-            format!("{:.1}x", clone as f64 / cached as f64)
-        }
-    };
-    for scenario in panel.scenarios() {
-        let _ = writeln!(out, "-- {scenario} --");
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>9} | {:>12} | {:>8} | {:>10} | {:>12} | {:>10} | {:>10}",
-            "mode",
-            "delivered",
-            "deliv bytes",
-            "fanouts",
-            "serialize",
-            "bytes ser",
-            "allocs",
-            "cache hits"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(98));
-        for mode in ["cached", "clone"] {
-            let Some(p) = panel.cell(scenario, mode) else {
-                continue;
-            };
-            let t = &p.result.traffic;
-            let _ = writeln!(
-                out,
-                "{:>8} | {:>9} | {:>12} | {:>8} | {:>10} | {:>12} | {:>10} | {:>10}",
-                mode,
-                p.result.delivered_messages,
-                t.delivery_bytes,
-                t.fanouts,
-                t.serializations,
-                t.bytes_serialized,
-                t.fanout_allocs,
-                t.cache_hits
-            );
-        }
-        if let (Some(cached), Some(clone)) = (
-            panel.cell(scenario, "cached"),
-            panel.cell(scenario, "clone"),
-        ) {
-            let (ct, bt) = (&cached.result.traffic, &clone.result.traffic);
-            let _ = writeln!(
-                out,
-                "   cached saves: {} fewer fan-out allocations, {} fewer bytes serialized",
-                ratio(bt.fanout_allocs, ct.fanout_allocs),
-                ratio(bt.bytes_serialized, ct.bytes_serialized),
-            );
-            if ct.buffered_bytes_peak > 0 || ct.checkpoint_bytes_peak > 0 {
-                let _ = writeln!(
-                    out,
-                    "   memory high-water: buffered {} B, checkpoints {} B",
-                    ct.buffered_bytes_peak, ct.checkpoint_bytes_peak
-                );
-            }
-        }
-    }
-    if !panel.skipped.is_empty() {
-        let _ = writeln!(
-            out,
-            "-- skipped (wall-clock budget exhausted): {} --",
-            panel.skipped.join(", ")
-        );
-    }
-    out
-}
-
-/// Serialise the traffic panel to pretty JSON; each point's `result`
-/// carries the full byte-accounting section. Budget-skipped cells are
-/// listed under `"skipped"`.
-pub fn traffic_to_json(panel: &TrafficPanelResult) -> String {
-    Json::obj(vec![
-        (
-            "points",
-            Json::Arr(
-                panel
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("scenario", Json::str(&p.scenario)),
-                            ("mode", Json::str(&p.mode)),
-                            ("result", run_result_json(&p.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(panel.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
-}
-
-/// Metric accessor used by the matrix tables.
-type MetricFn = fn(&RunResult) -> f64;
-
-/// Render the mobility-model × protocol matrix as fixed-width tables: one
-/// row per model parameter point, one column per protocol, one table per
-/// metric.
-pub fn render_matrix(matrix: &MatrixResult) -> String {
-    let protocols = matrix.protocols();
-    let models = matrix.models();
-    let row_width = models
-        .iter()
-        .map(|m| m.to_string().len())
-        .max()
-        .unwrap_or(0)
-        .max(20);
-    let mut out = String::new();
-    let _ = writeln!(out, "== mobility-model x protocol matrix ==");
-    let metrics: [(&str, MetricFn); 3] = [
-        ("message overhead per handoff (hops)", |r| {
-            r.overhead_per_handoff
-        }),
-        ("average handoff delay (ms)", |r| r.avg_handoff_delay_ms),
-        ("lost events", |r| r.audit.lost as f64),
-    ];
-    for (title, metric) in metrics {
-        let _ = writeln!(out, "-- {title} --");
-        let _ = write!(out, "{:>row_width$}", "model");
-        for proto in &protocols {
-            let _ = write!(out, " | {proto:>12}");
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "{}", "-".repeat(row_width + protocols.len() * 15));
-        for model in &models {
-            let _ = write!(out, "{:>row_width$}", model.to_string());
-            for proto in &protocols {
-                match matrix.cell(model, proto) {
-                    Some(p) => {
-                        let _ = write!(out, " | {:12.1}", metric(&p.result));
-                    }
-                    None => {
-                        let _ = write!(out, " | {:>12}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-    }
-    out
-}
-
-/// Serialise the matrix to pretty JSON. `mobility` is the parameter-point
-/// label (e.g. `"random-waypoint(pause=60s)"`), `model` the bare kind label.
-/// Budget-skipped cells are listed under `"skipped"`.
-pub fn matrix_to_json(matrix: &MatrixResult) -> String {
-    Json::obj(vec![
-        (
-            "points",
-            Json::Arr(
-                matrix
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("mobility", Json::str(p.mobility.to_string())),
-                            ("model", Json::str(p.mobility.label())),
-                            ("protocol", Json::str(&p.protocol)),
-                            ("topology", Json::str(&p.topology)),
-                            ("result", run_result_json(&p.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(matrix.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
-}
-
-/// Render the reactive-vs-proclaimed comparison as a fixed-width table: one
-/// row per protocol, the paired per-handover first-delivery gaps, the
-/// reduction the proclamation bought, and the paired overhead.
-pub fn render_proclaimed(cmp: &ProclaimedCompareResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== reactive (§4.2) vs proclaimed (§4.1) handovers ==");
-    let _ = writeln!(
-        out,
-        "{:>12} | {:>16} | {:>17} | {:>9} | {:>14} | {:>14}",
-        "protocol",
-        "reactive gap ms",
-        "proclaimed gap ms",
-        "reduction",
-        "reactive ovh",
-        "proclaimed ovh"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(96));
-    for p in &cmp.points {
-        let _ = writeln!(
-            out,
-            "{:>12} | {:>16.1} | {:>17.1} | {:>8.0}% | {:>14.1} | {:>14.1}",
-            p.protocol,
-            p.reactive_gap_ms(),
-            p.proclaimed_gap_ms(),
-            p.gap_reduction() * 100.0,
-            p.reactive.overhead_per_handoff,
-            p.proclaimed.overhead_per_handoff,
-        );
-    }
-    // The tail the means hide: per-kind gap percentiles from the ledgers.
-    let _ = writeln!(out, "-- first-delivery gap p50/p95/p99 (ms) --");
-    let fmt_pct = |ledger: &HandoverLedger| match ledger.gap_percentiles_ms() {
-        Some(g) => format!("{:.0}/{:.0}/{:.0}", g.p50, g.p95, g.p99),
-        None => "-".to_string(),
-    };
-    for p in &cmp.points {
-        let _ = writeln!(
-            out,
-            "{:>12} | reactive {:>16} | proclaimed {:>16}",
-            p.protocol,
-            fmt_pct(&p.reactive.ledger),
-            fmt_pct(&p.proclaimed.ledger),
-        );
-    }
-    if !cmp.skipped.is_empty() {
-        let _ = writeln!(
-            out,
-            "-- skipped (wall-clock budget exhausted): {} --",
-            cmp.skipped.join(", ")
-        );
-    }
-    out
-}
-
-/// Serialise the reactive-vs-proclaimed comparison to pretty JSON.
-/// Budget-skipped protocol pairs are listed under `"skipped"`.
-pub fn proclaimed_to_json(cmp: &ProclaimedCompareResult) -> String {
-    Json::obj(vec![
-        (
-            "points",
-            Json::Arr(
-                cmp.points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("protocol", Json::str(&p.protocol)),
-                            ("gap_reduction", Json::Num(p.gap_reduction())),
-                            ("reactive", run_result_json(&p.reactive)),
-                            ("proclaimed", run_result_json(&p.proclaimed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "skipped",
-            Json::Arr(cmp.skipped.iter().map(Json::str).collect()),
-        ),
-    ])
-    .pretty()
+    Json::obj(doc).pretty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::experiments::{figure5_in, mobility_matrix_in};
+    use crate::experiments::{
+        failure_panel, figure5, mobility_matrix, proclaimed_comparison, Sweep,
+    };
     use crate::protocols::ProtocolRegistry;
     use mhh_mobility::ModelKind;
 
@@ -941,52 +700,58 @@ mod tests {
         }
     }
 
+    fn builtin(workers: usize) -> Sweep {
+        Sweep {
+            registry: ProtocolRegistry::builtin(),
+            workers,
+            budget: None,
+        }
+    }
+
     #[test]
     fn render_contains_all_protocols_and_x_values() {
-        let fig = figure5_in(&ProtocolRegistry::builtin(), &base(), &[10.0, 50.0], 4);
+        let fig = figure5(&base(), &[10.0, 50.0], &builtin(4));
         let text = render_figure(&fig);
         assert!(text.contains("MHH"));
         assert!(text.contains("sub-unsub"));
         assert!(text.contains("HB"));
         assert!(text.contains("10"));
         assert!(text.contains("50"));
-        let json = to_json(&fig);
+        let json = panel_json(&fig, Projection::Results);
         assert!(json.contains("\"figure5\""));
     }
 
     #[test]
     fn proclaimed_runs_render_the_handover_dimension() {
-        use crate::experiments::proclaimed_comparison_in;
         let proclaimed_base = base().with_proclaimed_fraction(1.0);
-        let fig = figure5_in(&ProtocolRegistry::builtin(), &proclaimed_base, &[20.0], 2);
+        let fig = figure5(&proclaimed_base, &[20.0], &builtin(2));
         let text = render_figure(&fig);
         assert!(
             text.contains("handover mix"),
             "proclaimed figure renders the mix panel:\n{text}"
         );
-        let json = to_json(&fig);
+        let json = panel_json(&fig, Projection::Results);
         assert!(json.contains("\"proclaimed\""), "{json}");
         assert!(json.contains("\"proclaimed_gap_ms\""), "{json}");
         assert!(json.contains("\"skipped\": []"), "{json}");
 
         // Purely reactive figures render without the panel.
-        let reactive = figure5_in(&ProtocolRegistry::builtin(), &base(), &[20.0], 2);
+        let reactive = figure5(&base(), &[20.0], &builtin(2));
         assert!(!render_figure(&reactive).contains("handover mix"));
 
-        let cmp = proclaimed_comparison_in(&ProtocolRegistry::builtin(), &base(), 2);
+        let cmp = proclaimed_comparison(&base(), &builtin(2));
         let table = render_proclaimed(&cmp);
         assert!(
             table.contains("MHH") && table.contains("reduction"),
             "{table}"
         );
-        let cjson = proclaimed_to_json(&cmp);
+        let cjson = panel_json(&cmp, Projection::Results);
         assert!(cjson.contains("\"gap_reduction\""));
     }
 
     #[test]
     fn failure_panel_renders_outage_tables_and_json_recovery_sections() {
         use crate::config::FaultPlan;
-        use crate::experiments::failure_panel_in;
         use crate::scenarios::Scenario;
         let preset = Scenario {
             name: "tiny-crash",
@@ -996,21 +761,25 @@ mod tests {
                 ..FaultPlan::default()
             }),
         };
-        let panel = failure_panel_in(&ProtocolRegistry::extended(), &[preset], 4);
+        let extended = Sweep {
+            registry: ProtocolRegistry::extended(),
+            ..builtin(4)
+        };
+        let panel = failure_panel(&[preset], &extended);
         let text = render_failure_panel(&panel);
         assert!(text.contains("failure & recovery panel"), "{text}");
         assert!(text.contains("tiny-crash"), "{text}");
         assert!(text.contains("PSVR"), "{text}");
         assert!(text.contains("crash broker 4"), "{text}");
         assert!(text.contains("mean repair ms"), "{text}");
-        let json = failure_to_json(&panel);
+        let json = panel_json(&panel, Projection::Results);
         assert!(json.contains("\"recovery\""), "{json}");
         assert!(json.contains("\"repair_ms\""), "{json}");
         assert!(json.contains("\"dropped_envelopes\""), "{json}");
         assert!(json.contains("\"skipped\": []"), "{json}");
         // Zero-fault runs export a null recovery section.
-        let fig = figure5_in(&ProtocolRegistry::builtin(), &base(), &[20.0], 2);
-        let fig_json = to_json(&fig);
+        let fig = figure5(&base(), &[20.0], &builtin(2));
+        let fig_json = panel_json(&fig, Projection::Results);
         assert!(fig_json.contains("\"recovery\": null"), "{fig_json}");
     }
 
@@ -1020,11 +789,11 @@ mod tests {
             ModelKind::RandomWaypoint { pause_mean_s: 5.0 },
             ModelKind::RandomWaypoint { pause_mean_s: 50.0 },
         ];
-        let matrix = mobility_matrix_in(&ProtocolRegistry::builtin(), &base(), &models, 4);
+        let matrix = mobility_matrix(&base(), &models, &builtin(4));
         let text = render_matrix(&matrix);
         assert!(text.contains("random-waypoint(pause=5s)"), "{text}");
         assert!(text.contains("random-waypoint(pause=50s)"), "{text}");
-        let json = matrix_to_json(&matrix);
+        let json = panel_json(&matrix, Projection::Results);
         assert!(json.contains("\"random-waypoint(pause=5s)\""));
         assert!(json.contains("\"model\": \"random-waypoint\""));
     }

@@ -1,31 +1,28 @@
 //! Scenario runner: build the deployment for a protocol, inject the
 //! workload, run to completion and compute the metrics.
 //!
-//! Two equivalent paths exist. [`run_scenario`] is the generic fast path:
-//! the deployment is monomorphized per protocol. [`run_spec`] /
-//! [`run_named`] are the dyn paths: the protocol comes out of a
-//! [`crate::protocols::ProtocolRegistry`] entry and runs
-//! behind `Box<dyn DynProtocol>`. Both replay the identical seeded workload
-//! and exchange the identical messages, so their [`RunResult`]s are
-//! byte-identical — asserted by the integration tests and the sweep bench.
+//! There is one path. [`run_spec`] takes a
+//! [`crate::protocols::ProtocolRegistry`] entry and runs it behind
+//! `Box<dyn DynProtocol>`, so one compiled deployment serves every
+//! registered protocol; [`run_named`] looks the entry up by name in the
+//! process-wide registry, and [`run_scenario`] is the typed shorthand for
+//! the paper's three. The workload is regenerated from the scenario seed,
+//! so running different protocols on the same config is a paired
+//! comparison.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use mhh_baselines::{HomeBroker, SubUnsub};
-use mhh_pubsub::broker::MobilityProtocol;
 use mhh_pubsub::dynproto::BoxedMsg;
-use mhh_pubsub::{repair_drives, DeliveryAudit, Deployment, DeploymentConfig, NetMsg};
-use mhh_simnet::{
-    EngineArena, EnginePerf, FaultSchedule, Network, PhaseBreakdown, SimDuration, TrafficClass,
-};
+use mhh_pubsub::{repair_drives, DeliveryAudit, Deployment, DeploymentConfig, DynProtocol, NetMsg};
+use mhh_simnet::{EngineArena, EnginePerf, FaultSchedule, Network, SimDuration, TrafficClass};
 
 use crate::builder::SimError;
 use crate::config::{Protocol, ScenarioConfig};
 use crate::metrics::{
     classify_clients, ClientHandoverLog, HandoverLedger, RecoveryLedger, RunResult, TrafficReport,
 };
-use crate::protocols::{mhh_for, sub_unsub_wait, ProtocolRegistry, ProtocolSpec};
+use crate::protocols::{BrokerFactory, ProtocolRegistry, ProtocolSpec};
 use crate::workload::Workload;
 
 /// Translate a scenario config into the deployment config of the substrate.
@@ -52,80 +49,9 @@ fn deployment_config(config: &ScenarioConfig) -> DeploymentConfig {
     }
 }
 
-/// Run one scenario with one protocol and collect the metrics — the generic
-/// fast path (one monomorphized deployment per protocol). The workload is
-/// regenerated from the scenario seed, so calling this for different
-/// protocols with the same config performs a paired comparison. The broker
-/// network — topology, MST overlay, distance and routing tables — is built
-/// **once** here and shared by the workload generator, the safety-interval
-/// derivation and the deployment.
-pub fn run_scenario(config: &ScenarioConfig, protocol: Protocol) -> RunResult {
-    run_scenario_perf(config, protocol).0
-}
-
-/// [`run_scenario`] plus the engine's hot-path performance counters
-/// ([`EnginePerf`]: peak queue depth, storage-growth events) — the counters
-/// the `BENCH_engine.json` trajectory records. The metrics half is
-/// byte-identical to [`run_scenario`]'s.
-pub fn run_scenario_perf(config: &ScenarioConfig, protocol: Protocol) -> (RunResult, EnginePerf) {
-    let (result, perf, _) = run_scenario_full(config, protocol, false);
-    (result, perf)
-}
-
-/// [`run_scenario_perf`] plus the serial engine's per-phase cost breakdown
-/// (queue / clocks / protocol / stats nanoseconds). Profiling is a
-/// serial-engine feature, so the run is forced onto the serial backend
-/// whatever `engine_workers` says; the metrics half stays byte-identical to
-/// an unprofiled serial run. The timer reads add per-delivery overhead, so
-/// report throughput from a separate unprofiled pass.
-pub fn run_scenario_phases(
-    config: &ScenarioConfig,
-    protocol: Protocol,
-) -> (RunResult, EnginePerf, PhaseBreakdown) {
-    let serial = ScenarioConfig {
-        engine_workers: 0,
-        ..config.clone()
-    };
-    let (result, perf, phases) = run_scenario_full(&serial, protocol, true);
-    (
-        result,
-        perf,
-        phases.expect("the serial engine was asked to profile"),
-    )
-}
-
-fn run_scenario_full(
-    config: &ScenarioConfig,
-    protocol: Protocol,
-    profile: bool,
-) -> (RunResult, EnginePerf, Option<PhaseBreakdown>) {
-    let network = config.build_network();
-    let workload = Workload::generate_on(config, &network);
-    let label = protocol.label();
-    match protocol {
-        Protocol::Mhh => run_with(config, network, label, &workload, profile, |_| {
-            mhh_for(config)
-        }),
-        Protocol::HomeBroker => run_with(config, network, label, &workload, profile, |_| {
-            HomeBroker::new()
-        }),
-        Protocol::SubUnsub => {
-            let wait = sub_unsub_wait(config, &network);
-            run_with(
-                config,
-                network.clone(),
-                label,
-                &workload,
-                profile,
-                move |_| SubUnsub::new(wait),
-            )
-        }
-    }
-}
-
 thread_local! {
-    /// The dyn path's recycled engine storage. Every registry protocol runs
-    /// as `Deployment<Box<dyn DynProtocol>>`, so one arena type fits them
+    /// The recycled engine storage. Every registry protocol runs as
+    /// `Deployment<Box<dyn DynProtocol>>`, so one arena type fits them
     /// all: a sweep worker thread grows the queue/clock/scratch storage on
     /// its first point and then reuses it for every subsequent point
     /// (allocation-free steady state; `EnginePerf::alloc_events` stays flat
@@ -133,36 +59,41 @@ thread_local! {
     static SWEEP_ARENA: Cell<Option<EngineArena<NetMsg<BoxedMsg>>>> = const { Cell::new(None) };
 }
 
-/// Run one scenario with a registry protocol — the dyn path. The deployment
-/// is `Deployment<Box<dyn DynProtocol>>`, so one compiled code path runs
-/// every registered protocol; results are byte-identical to the generic
-/// path for the same protocol.
+/// Run one scenario with a registry protocol and collect the metrics. The
+/// broker network — topology, MST overlay, distance and routing tables — is
+/// built **once** here and shared by the workload generator, the protocol's
+/// constructor (e.g. sub-unsub's safety-interval derivation) and the
+/// deployment.
 pub fn run_spec(config: &ScenarioConfig, spec: &ProtocolSpec) -> RunResult {
     run_spec_perf(config, spec).0
 }
 
-/// [`run_spec`] plus the engine's hot-path counters (see
-/// [`run_scenario_perf`]). This is the path sweep workers take: the engine
-/// arena is recycled across calls on the same thread, so back-to-back
-/// points reuse the warmed storage instead of re-growing it.
+/// [`run_spec`] plus the engine's hot-path performance counters
+/// ([`EnginePerf`]: deliveries, peak queue depth, storage-growth events).
+/// The metrics half is byte-identical to [`run_spec`]'s. The engine arena is
+/// recycled across calls on the same thread, so back-to-back sweep points
+/// reuse the warmed storage instead of re-growing it.
 pub fn run_spec_perf(config: &ScenarioConfig, spec: &ProtocolSpec) -> (RunResult, EnginePerf) {
     let network = config.build_network();
     let workload = Workload::generate_on(config, &network);
     let factory = spec.instantiate(config, &network);
     let arena = SWEEP_ARENA.take().unwrap_or_default();
-    let (result, perf, _, arena) = run_with_arena(
-        config,
-        network,
-        spec.label(),
-        &workload,
-        false,
-        factory,
-        arena,
-    );
-    if let Some(arena) = arena {
+    let (dep, faults) = drive(config, network, &workload, factory, arena);
+    let perf = dep.engine.perf();
+    let result = collect(config, spec.label(), &dep, &faults);
+    // `None` comes back when the run used the parallel backend, whose
+    // storage is sharded and not recyclable.
+    if let (_, _, _, Some(arena)) = dep.engine.recycle() {
         SWEEP_ARENA.set(Some(arena));
     }
     (result, perf)
+}
+
+/// [`run_spec`] for one of the paper's three protocols, by its typed name.
+pub fn run_scenario(config: &ScenarioConfig, protocol: Protocol) -> RunResult {
+    let registry = ProtocolRegistry::builtin();
+    let spec = registry.find(protocol.name()).expect("builtin protocol");
+    run_spec(config, spec)
 }
 
 /// Run one scenario with a protocol resolved by name in the process-wide
@@ -175,74 +106,18 @@ pub fn run_named(config: &ScenarioConfig, protocol: &str) -> Result<RunResult, S
     Ok(run_spec(config, spec))
 }
 
-fn run_with<P, F>(
-    config: &ScenarioConfig,
-    network: Arc<Network>,
-    label: &str,
-    workload: &Workload,
-    profile: bool,
-    make_protocol: F,
-) -> (RunResult, EnginePerf, Option<PhaseBreakdown>)
-where
-    P: MobilityProtocol,
-    F: FnMut(mhh_pubsub::BrokerId) -> P,
-{
-    let (result, perf, phases, _) = run_with_arena(
-        config,
-        network,
-        label,
-        workload,
-        profile,
-        make_protocol,
-        EngineArena::new(),
-    );
-    (result, perf, phases)
-}
-
-/// [`run_with`] threading a recycled storage arena in and back out (`None`
-/// comes back when the run used the parallel backend, whose storage is
-/// sharded and not recyclable).
-#[allow(clippy::type_complexity)]
-fn run_with_arena<P, F>(
-    config: &ScenarioConfig,
-    network: Arc<Network>,
-    label: &str,
-    workload: &Workload,
-    profile: bool,
-    make_protocol: F,
-    arena: EngineArena<NetMsg<P::Msg>>,
-) -> (
-    RunResult,
-    EnginePerf,
-    Option<PhaseBreakdown>,
-    Option<EngineArena<NetMsg<P::Msg>>>,
-)
-where
-    P: MobilityProtocol,
-    F: FnMut(mhh_pubsub::BrokerId) -> P,
-{
-    let (dep, faults) = drive(config, network, workload, profile, make_protocol, arena);
-    let perf = dep.engine.perf();
-    let phases = dep.engine.phase_breakdown();
-    let result = collect(config, label, &dep, &faults);
-    let (_, _, _, recycled) = dep.engine.recycle();
-    (result, perf, phases, recycled)
-}
+/// The deployment every registry protocol runs as.
+type DynDeployment = Deployment<Box<dyn DynProtocol>>;
 
 /// Build the deployment, inject the workload and run the engine until it
 /// drains: everything of a run that happens before the post-run accounting.
-fn drive<P, F>(
+fn drive(
     config: &ScenarioConfig,
     network: Arc<Network>,
     workload: &Workload,
-    profile: bool,
-    make_protocol: F,
-    arena: EngineArena<NetMsg<P::Msg>>,
-) -> (Deployment<P>, FaultSchedule)
-where
-    P: MobilityProtocol,
-    F: FnMut(mhh_pubsub::BrokerId) -> P,
-{
+    make_protocol: BrokerFactory,
+    arena: EngineArena<NetMsg<BoxedMsg>>,
+) -> (DynDeployment, FaultSchedule) {
     let dep_config = deployment_config(config);
     let faults = config.fault_schedule(&network);
     // Reject malformed schedules up front with the typed error instead of
@@ -250,16 +125,13 @@ where
     if let Err(e) = faults.validate(mhh_simnet::SimTime::from_secs_f64(config.duration_s)) {
         panic!("invalid fault schedule: {e}");
     }
-    let mut dep: Deployment<P> = Deployment::build_on_in(
+    let mut dep: DynDeployment = Deployment::build_on_in(
         network.clone(),
         &dep_config,
         &workload.clients,
         make_protocol,
         arena,
     );
-    if profile {
-        dep.engine.enable_phase_profile();
-    }
     if let Some(loss) = config.loss_model() {
         dep.engine.set_loss(loss);
     }
@@ -312,10 +184,10 @@ where
     (dep, faults)
 }
 
-fn collect<P: MobilityProtocol>(
+fn collect(
     config: &ScenarioConfig,
     protocol: &str,
-    dep: &Deployment<P>,
+    dep: &DynDeployment,
     faults: &FaultSchedule,
 ) -> RunResult {
     let buffered = dep.buffered_events();
@@ -454,36 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn dyn_path_is_byte_identical_to_generic_path() {
-        let cfg = tiny();
-        let registry = ProtocolRegistry::builtin();
-        for protocol in Protocol::ALL {
-            let generic = run_scenario(&cfg, protocol);
-            let spec = registry.find(protocol.name()).expect("builtin registered");
-            let erased = run_spec(&cfg, spec);
-            assert_eq!(
-                format!("{generic:?}"),
-                format!("{erased:?}"),
-                "{}: dyn dispatch must not change the metrics",
-                protocol.label()
-            );
-        }
-    }
-
-    #[test]
     fn run_named_resolves_the_global_registry() {
         let cfg = tiny();
         let by_name = run_named(&cfg, "mhh").expect("mhh is builtin");
-        let generic = run_scenario(&cfg, Protocol::Mhh);
-        assert_eq!(format!("{by_name:?}"), format!("{generic:?}"));
+        let typed = run_scenario(&cfg, Protocol::Mhh);
+        assert_eq!(format!("{by_name:?}"), format!("{typed:?}"));
         assert!(run_named(&cfg, "no-such-protocol").is_err());
     }
 
     #[test]
     fn perf_counters_accompany_identical_metrics() {
         let cfg = tiny();
-        let (r, perf) = run_scenario_perf(&cfg, Protocol::Mhh);
-        let plain = run_scenario(&cfg, Protocol::Mhh);
+        let registry = ProtocolRegistry::builtin();
+        let spec = registry.find("mhh").expect("mhh is builtin");
+        let (r, perf) = run_spec_perf(&cfg, spec);
+        let plain = run_spec(&cfg, spec);
         assert_eq!(
             format!("{r:?}"),
             format!("{plain:?}"),
@@ -553,7 +410,6 @@ mod tests {
                     &cfg,
                     network.clone(),
                     &workload,
-                    false,
                     spec.instantiate(&cfg, &network),
                     EngineArena::new(),
                 );

@@ -387,6 +387,18 @@ pub fn find(name: &str) -> Option<Scenario> {
     registry().into_iter().find(|s| s.name == name)
 }
 
+/// Look up several presets by name, in the order given (the experiments'
+/// `FAILURE_PRESETS` / `TRAFFIC_PRESETS` lists).
+///
+/// # Panics
+/// Panics on a name that is not registered.
+pub fn find_all(names: &[&str]) -> Vec<Scenario> {
+    names
+        .iter()
+        .map(|name| find(name).unwrap_or_else(|| panic!("no scenario preset named {name:?}")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

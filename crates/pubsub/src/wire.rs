@@ -38,7 +38,7 @@ pub enum FanoutMode {
 }
 
 impl FanoutMode {
-    /// Stable label used in reports and `BENCH_engine.json`.
+    /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             FanoutMode::Cached => "cached",

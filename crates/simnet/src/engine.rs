@@ -214,7 +214,7 @@ pub struct EnginePerf {
 /// (`protocol_ns`), and traffic accounting (`stats_ns`). Timer reads add a
 /// fixed overhead per phase boundary, so profiled throughput is *not* the
 /// number to report — run the breakdown pass separately from the timing
-/// pass (as `sweep_runner` does).
+/// pass (as the benchmark's traced and untraced passes do).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Nanoseconds spent popping and pushing the future event list.

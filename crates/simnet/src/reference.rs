@@ -11,10 +11,9 @@
 //!    engine and [`Engine`](crate::Engine) and asserts byte-identical
 //!    delivery sequences and traffic totals. Any ordering divergence in the
 //!    pooled 4-ary queue or the dense/sharded clock tables fails loudly.
-//! 2. **Benchmark baseline** — `micro_engine` and the `BENCH_engine.json`
-//!    trajectory measure the overhaul's deliveries/sec win against this
-//!    path, so the speedup is re-measured on every machine rather than
-//!    asserted from a one-off number.
+//! 2. **Micro-workload oracle** — `mhh-bench`'s `engine_micro` tests run the
+//!    ring and burst kernels the benchmark times on both engines and require
+//!    identical delivery counts.
 //!
 //! Behavioural equivalence matters; speed does not. Keep this file in sync
 //! with semantic engine changes (new clamp rules, new ordering), never with

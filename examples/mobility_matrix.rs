@@ -30,8 +30,14 @@ use std::sync::Arc;
 
 use mhh_suite::mobility::sweep::available_workers;
 use mhh_suite::mobility::{parse_trace, ModelKind, TraceRecord};
-use mhh_suite::mobsim::report::{matrix_to_json, render_matrix};
+use mhh_suite::mobsim::report::{panel_json, render_matrix, Projection};
 use mhh_suite::mobsim::{Sim, SimBuilder};
+
+mod common;
+use common::flag_value;
+
+const USAGE: &str = "mobility_matrix [--paper-scale] [--json] [--workers <N>] \
+                     [--trace <file>] [--budget-ms <N>]";
 
 fn reduced(b: SimBuilder) -> SimBuilder {
     b.grid_side(6).clients_per_broker(4).configure(|c| {
@@ -95,21 +101,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
     let dump_json = args.iter().any(|a| a == "--json");
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(available_workers);
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1));
-    let budget_ms: Option<u64> = args
-        .iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok());
+    let workers = flag_value(&args, "--workers", USAGE).unwrap_or_else(available_workers);
+    let trace_path: Option<String> = flag_value(&args, "--trace", USAGE);
+    let budget_ms: Option<u64> = flag_value(&args, "--budget-ms", USAGE);
 
     let builder = {
         let mut b = Sim::scenario("paper-fig5").workers(workers);
@@ -127,7 +121,7 @@ fn main() {
         .build_config()
         .expect("paper-fig5 is registered");
 
-    let playback = match trace_path {
+    let playback = match &trace_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("error: cannot read trace file {path}: {e}");
@@ -166,6 +160,6 @@ fn main() {
     }
 
     if dump_json {
-        println!("{}", matrix_to_json(&matrix));
+        println!("{}", panel_json(&matrix, Projection::Results));
     }
 }

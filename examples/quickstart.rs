@@ -23,6 +23,11 @@ use std::sync::Arc;
 use mhh_suite::mobility::{ModelKind, TraceRecord};
 use mhh_suite::mobsim::{protocols::ProtocolRegistry, scenarios, Sim};
 
+mod common;
+use common::flag_value;
+
+const USAGE: &str = "quickstart [<scenario> [--full] [--budget-ms <N>] [--engine-workers <K>]]";
+
 /// Smoke-run a named preset across every registered protocol.
 fn smoke(name: &str, full: bool, budget_ms: Option<u64>, engine_workers: Option<usize>) {
     let scale = if full { "full scale" } else { "reduced scale" };
@@ -124,30 +129,18 @@ fn smoke(name: &str, full: bool, budget_ms: Option<u64>, engine_workers: Option<
     }
 }
 
-fn usage_error() -> ! {
-    eprintln!("usage: quickstart [<scenario> [--full] [--budget-ms <N>] [--engine-workers <K>]]");
-    std::process::exit(2);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a.starts_with("--")) {
         // Flags make no sense without a scenario; falling through to the
         // tutorial would silently ignore them.
-        usage_error();
+        eprintln!("usage: {USAGE}");
+        std::process::exit(2);
     }
     if let Some(name) = args.first() {
         let full = args.iter().any(|a| a == "--full");
-        fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-            args.iter().position(|a| a == flag).map(|i| {
-                args.get(i + 1)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage_error())
-            })
-        }
-        let budget_ms: Option<u64> = flag_value(&args, "--budget-ms");
-        let engine_workers: Option<usize> = flag_value(&args, "--engine-workers");
+        let budget_ms: Option<u64> = flag_value(&args, "--budget-ms", USAGE);
+        let engine_workers: Option<usize> = flag_value(&args, "--engine-workers", USAGE);
         smoke(name, full, budget_ms, engine_workers);
         return;
     }

@@ -67,95 +67,52 @@
 //! Results are printed as tables and written as JSON next to the repository's
 //! EXPERIMENTS.md.
 
+use std::time::Duration;
+
 use mhh_suite::mobility::sweep::available_workers;
 use mhh_suite::mobsim::experiments::{
-    failure_panel_budgeted_in, reliability_panel_budgeted_in, traffic_panel_budgeted_in,
-    FigureResult, FIG5_CONN_PERIODS_S, FIG6_GRID_SIDES,
+    failure_panel, reliability_panel, traffic_panel, FIG5_CONN_PERIODS_S, FIG6_GRID_SIDES,
 };
 use mhh_suite::mobsim::report::{
-    failure_to_json, figure_ledgers_json, proclaimed_to_json, reliability_to_json,
-    render_failure_panel, render_figure, render_proclaimed, render_reliability_panel,
-    render_traffic, to_json, traffic_to_json,
+    panel_json, render_failure_panel, render_figure, render_proclaimed, render_reliability_panel,
+    render_traffic, Projection,
 };
 use mhh_suite::mobsim::{
-    scenarios, ProtocolRegistry, Sim, SimBuilder, FAILURE_PRESETS, TRAFFIC_PRESETS,
+    scenarios, Panel, ProtocolRegistry, Sim, SimBuilder, Sweep, FAILURE_PRESETS, TRAFFIC_PRESETS,
 };
 
-/// Parse `--workers N` (defaults to all cores).
-fn workers_flag(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(available_workers)
-}
+mod common;
+use common::flag_value;
 
-/// Parse `--budget-ms N` (default: unbudgeted).
-fn budget_flag(args: &[String]) -> Option<u64> {
-    args.iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-}
+const USAGE: &str = "reproduce_figures [fig5] [fig6] [handover] [failure] [traffic] \
+                     [reliability] [--paper-scale] [--workers <N>] [--budget-ms <N>] \
+                     [--engine-workers <K>] [--dump-ledger <path>]";
 
-/// Parse `--dump-ledger <path>` (default: no ledger export).
-fn dump_ledger_flag(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--dump-ledger")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parse `--engine-workers K` (default: serial engine).
-fn engine_workers_flag(args: &[String]) -> Option<usize> {
-    args.iter()
-        .position(|a| a == "--engine-workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-}
-
-fn builder(
-    scenario: &str,
-    paper_scale: bool,
-    workers: usize,
-    budget_ms: Option<u64>,
-    engine_workers: Option<usize>,
-) -> SimBuilder {
-    let mut b = Sim::scenario(scenario).workers(workers);
-    if let Some(ms) = budget_ms {
-        b = b.budget_ms(ms);
-    }
-    if let Some(k) = engine_workers {
-        b = b.engine_workers(k);
-    }
-    if paper_scale {
-        b
-    } else {
-        b.grid_side(7).clients_per_broker(5).configure(|c| {
-            c.publish_interval_s = 60.0;
-            c.duration_s = 900.0;
-        })
-    }
-}
-
-fn report_skipped(skipped: &[String]) {
-    if !skipped.is_empty() {
+/// Print a finished experiment's tables and any budget-skipped cells, and
+/// write its JSON to `<panel name>.json`.
+fn emit(panel: &Panel, tables: String) {
+    println!("{tables}");
+    if !panel.skipped.is_empty() {
         println!(
             "budget exhausted: {} point(s) skipped: {}",
-            skipped.len(),
-            skipped.join(", ")
+            panel.skipped.len(),
+            panel.skipped.join(", ")
         );
     }
+    let path = format!("{}.json", panel.name);
+    std::fs::write(&path, panel_json(panel, Projection::Results))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
-    let workers = workers_flag(&args);
-    let budget_ms = budget_flag(&args);
-    let dump_ledger = dump_ledger_flag(&args);
-    let engine_workers = engine_workers_flag(&args);
-    let mut executed_figures: Vec<FigureResult> = Vec::new();
+    let workers = flag_value(&args, "--workers", USAGE).unwrap_or_else(available_workers);
+    let budget_ms: Option<u64> = flag_value(&args, "--budget-ms", USAGE);
+    let dump_ledger: Option<String> = flag_value(&args, "--dump-ledger", USAGE);
+    let engine_workers: Option<usize> = flag_value(&args, "--engine-workers", USAGE);
+    let mut executed_figures: Vec<Panel> = Vec::new();
     let modes = [
         "fig5",
         "fig6",
@@ -173,6 +130,30 @@ fn main() {
         } else {
             name == "fig5" || name == "fig6"
         }
+    };
+    let builder = |scenario: &str| -> SimBuilder {
+        let mut b = Sim::scenario(scenario).workers(workers);
+        if let Some(ms) = budget_ms {
+            b = b.budget_ms(ms);
+        }
+        if let Some(k) = engine_workers {
+            b = b.engine_workers(k);
+        }
+        if paper_scale {
+            b
+        } else {
+            b.grid_side(7).clients_per_broker(5).configure(|c| {
+                c.publish_interval_s = 60.0;
+                c.duration_s = 900.0;
+            })
+        }
+    };
+    // The panels outside the builder: all four protocols, same workers and
+    // budget.
+    let extended = Sweep {
+        registry: ProtocolRegistry::extended(),
+        workers,
+        budget: budget_ms.map(Duration::from_millis),
     };
 
     println!(
@@ -192,19 +173,10 @@ fn main() {
         } else {
             &[1.0, 10.0, 100.0, 1_000.0]
         };
-        let fig = builder(
-            "paper-fig5",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .figure5(conn)
-        .expect("paper-fig5 is registered");
-        println!("{}", render_figure(&fig));
-        report_skipped(&fig.skipped);
-        std::fs::write("figure5.json", to_json(&fig)).expect("write figure5.json");
-        println!("wrote figure5.json");
+        let fig = builder("paper-fig5")
+            .figure5(conn)
+            .expect("paper-fig5 is registered");
+        emit(&fig, render_figure(&fig));
         executed_figures.push(fig);
     }
     if want("fig6") {
@@ -213,89 +185,40 @@ fn main() {
         } else {
             &[5, 7, 10]
         };
-        let fig = builder(
-            "paper-fig6",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .figure6(sides)
-        .expect("paper-fig6 is registered");
-        println!("{}", render_figure(&fig));
-        report_skipped(&fig.skipped);
-        std::fs::write("figure6.json", to_json(&fig)).expect("write figure6.json");
-        println!("wrote figure6.json");
+        let fig = builder("paper-fig6")
+            .figure6(sides)
+            .expect("paper-fig6 is registered");
+        emit(&fig, render_figure(&fig));
         executed_figures.push(fig);
     }
     if want("handover") {
-        let cmp = builder(
-            "paper-fig5",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .compare_proclaimed()
-        .expect("paper-fig5 is registered");
-        println!("{}", render_proclaimed(&cmp));
-        report_skipped(&cmp.skipped);
-        std::fs::write("handover.json", proclaimed_to_json(&cmp)).expect("write handover.json");
-        println!("wrote handover.json");
+        let cmp = builder("paper-fig5")
+            .compare_proclaimed()
+            .expect("paper-fig5 is registered");
+        emit(&cmp, render_proclaimed(&cmp));
     }
     if want("failure") {
-        let presets: Vec<_> = FAILURE_PRESETS
-            .iter()
-            .map(|name| scenarios::find(name).expect("failure preset registered"))
-            .collect();
-        let panel = failure_panel_budgeted_in(
-            &ProtocolRegistry::extended(),
-            &presets,
-            workers,
-            budget_ms.map(std::time::Duration::from_millis),
-        );
-        println!("{}", render_failure_panel(&panel));
-        report_skipped(&panel.skipped);
-        std::fs::write("failure_panel.json", failure_to_json(&panel))
-            .expect("write failure_panel.json");
-        println!("wrote failure_panel.json");
+        let panel = failure_panel(&scenarios::find_all(&FAILURE_PRESETS), &extended);
+        emit(&panel, render_failure_panel(&panel));
     }
     if want("traffic") {
-        let presets: Vec<_> = TRAFFIC_PRESETS
-            .iter()
-            .map(|name| scenarios::find(name).expect("storm preset registered"))
-            .collect();
-        let panel = traffic_panel_budgeted_in(
-            &presets,
-            workers,
-            budget_ms.map(std::time::Duration::from_millis),
-        );
-        println!("{}", render_traffic(&panel));
-        report_skipped(&panel.skipped);
-        std::fs::write("traffic_panel.json", traffic_to_json(&panel))
-            .expect("write traffic_panel.json");
-        println!("wrote traffic_panel.json");
+        let panel = traffic_panel(&scenarios::find_all(&TRAFFIC_PRESETS), &extended);
+        emit(&panel, render_traffic(&panel));
     }
     if want("reliability") {
         let base = scenarios::find("lossy-crash-storm")
             .expect("lossy-crash-storm preset registered")
             .config;
-        let panel = reliability_panel_budgeted_in(
-            &ProtocolRegistry::extended(),
-            &base,
-            workers,
-            budget_ms.map(std::time::Duration::from_millis),
-        );
-        println!("{}", render_reliability_panel(&panel));
-        report_skipped(&panel.skipped);
-        std::fs::write("reliability_panel.json", reliability_to_json(&panel))
-            .expect("write reliability_panel.json");
-        println!("wrote reliability_panel.json");
+        let panel = reliability_panel(&base, &extended);
+        emit(&panel, render_reliability_panel(&panel));
     }
     if let Some(path) = dump_ledger {
         // One document with every executed figure's per-handover records,
         // for external plotting of gap distributions.
-        let docs: Vec<String> = executed_figures.iter().map(figure_ledgers_json).collect();
+        let docs: Vec<String> = executed_figures
+            .iter()
+            .map(|fig| panel_json(fig, Projection::Ledgers))
+            .collect();
         let doc = format!("[{}]\n", docs.join(","));
         std::fs::write(&path, doc).expect("write ledger dump");
         println!(

@@ -30,7 +30,7 @@
 //! assert!(result.handoffs > 0);
 //! ```
 //!
-//! The generic fast path is still there for the builtin protocols:
+//! The paper's three protocols also have a typed shorthand:
 //!
 //! ```
 //! use mhh_suite::mobsim::{run_scenario, Protocol, ScenarioConfig};

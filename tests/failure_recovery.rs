@@ -12,7 +12,7 @@
 
 use mhh_suite::mobsim::protocols::ProtocolRegistry;
 use mhh_suite::mobsim::{
-    run_scenario, run_scenario_perf, run_spec, scenarios, FaultPlan, Protocol, ScenarioConfig, Sim,
+    run_scenario, run_spec, run_spec_perf, scenarios, FaultPlan, Protocol, ScenarioConfig, Sim,
     Workload, FAILURE_PRESETS,
 };
 
@@ -93,10 +93,11 @@ fn recovery_ledger_reconciles_with_the_audit_on_both_presets() {
     }
 }
 
-/// Acceptance criterion: dyn-dispatched runs stay byte-identical to the
-/// generic path *under faults* — the repair drives, fault-aware MHH
-/// constructor and recovery ledger must not diverge between the two
-/// dispatch layers.
+/// `run_scenario`'s typed shorthand resolves to the registry entry of the
+/// same name, and two runs of one faulty config replay byte-identically —
+/// repair drives, fault-aware MHH constructor and recovery ledger included.
+/// (Written as the dyn-vs-generic differential while a monomorphized path
+/// existed; both sides are `run_spec` now.)
 #[test]
 fn dyn_runs_stay_byte_identical_under_faults() {
     let config = stormy_config();
@@ -108,7 +109,7 @@ fn dyn_runs_stay_byte_identical_under_faults() {
         assert_eq!(
             format!("{generic:?}"),
             format!("{erased:?}"),
-            "{}: dyn dispatch must not change any metric under faults",
+            "{}: the shorthand and the registry entry must be the same run under faults",
             protocol.label()
         );
     }
@@ -147,7 +148,9 @@ fn lazy_timeline_injection_keeps_the_event_queue_shallow() {
         timeline_len > 500,
         "need a non-trivial timeline to make the claim meaningful, got {timeline_len}"
     );
-    let (r, perf) = run_scenario_perf(&config, Protocol::Mhh);
+    let registry = ProtocolRegistry::builtin();
+    let mhh = registry.find("mhh").expect("mhh is builtin");
+    let (r, perf) = run_spec_perf(&config, mhh);
     assert!(r.reliable(), "{:?}", r.audit);
     assert!(
         perf.peak_queue_depth < timeline_len / 4,
@@ -158,7 +161,7 @@ fn lazy_timeline_injection_keeps_the_event_queue_shallow() {
 
     // Under the storm the queue additionally carries the eagerly
     // scheduled repair drives, but still never the whole timeline.
-    let (_, stormy_perf) = run_scenario_perf(&stormy_config(), Protocol::Mhh);
+    let (_, stormy_perf) = run_spec_perf(&stormy_config(), mhh);
     assert!(
         stormy_perf.peak_queue_depth < timeline_len,
         "even with repair drives the queue never holds the full timeline \

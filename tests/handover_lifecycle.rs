@@ -70,9 +70,11 @@ fn proclaimed_fig5_run_strictly_beats_reactive_on_first_delivery_gap() {
     assert_eq!(reactive.avg_handoff_delay_ms, reactive_gap);
 }
 
-/// Acceptance criterion: dyn-protocol runs remain byte-identical to generic
-/// runs with the ledger enabled — on the proclaimed workload, where the
-/// ledger is populated with proclaimed records.
+/// `run_scenario`'s typed shorthand and the registry entry of the same name
+/// are the same run, replayed byte-identically down to every ledger record —
+/// on the proclaimed workload, where the ledger is populated with proclaimed
+/// records. (Written as the dyn-vs-generic differential while a
+/// monomorphized path existed; both sides are `run_spec` now.)
 #[test]
 fn dyn_runs_stay_byte_identical_with_the_ledger_enabled() {
     let config = fig5_seeded().with_proclaimed_fraction(1.0);
@@ -84,7 +86,7 @@ fn dyn_runs_stay_byte_identical_with_the_ledger_enabled() {
         assert_eq!(
             format!("{generic:?}"),
             format!("{erased:?}"),
-            "{}: dyn dispatch must not change any metric or ledger record",
+            "{}: the shorthand and the registry entry must agree on every ledger record",
             protocol.label()
         );
         assert!(

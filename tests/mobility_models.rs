@@ -8,11 +8,8 @@ use std::sync::Arc;
 use mhh_suite::mobility::sweep::{available_workers, map_parallel, map_serial};
 use mhh_suite::mobility::trace::validate_trace;
 use mhh_suite::mobility::{MobilityWorld, ModelKind, TraceRecord};
-use mhh_suite::mobsim::experiments::{
-    figure5_with_workers, mobility_matrix, mobility_matrix_with_workers,
-};
-use mhh_suite::mobsim::report::{matrix_to_json, render_matrix};
-use mhh_suite::mobsim::{run_scenario, Protocol, ScenarioConfig};
+use mhh_suite::mobsim::report::{panel_json, render_matrix, Projection};
+use mhh_suite::mobsim::{figure5, mobility_matrix, run_scenario, Protocol, ScenarioConfig, Sweep};
 use mhh_suite::simnet::random::DetRng;
 
 /// Every model kind, including a playback trace that chains correctly from
@@ -161,7 +158,7 @@ fn all_models_times_all_protocols_keep_the_delivery_guarantees() {
 /// large under adjacent-hop movement as under the paper's uniform jumps.
 #[test]
 fn short_hop_models_magnify_mhh_overhead_advantage() {
-    let matrix = mobility_matrix(&matrix_base(), &ModelKind::synthetic());
+    let matrix = mobility_matrix(&matrix_base(), &ModelKind::synthetic(), &Sweep::default());
     let advantage = |model: &ModelKind| {
         let mhh = matrix.cell(model, "MHH").unwrap();
         let su = matrix.cell(model, "sub-unsub").unwrap();
@@ -184,6 +181,14 @@ fn short_hop_models_magnify_mhh_overhead_advantage() {
     }
 }
 
+/// The process-wide registry, unbudgeted, on `workers` sweep threads.
+fn on_workers(workers: usize) -> Sweep {
+    Sweep {
+        workers,
+        ..Sweep::default()
+    }
+}
+
 /// The parallel sweep runner must produce byte-identical results to a serial
 /// run of the same seeds — for the generic executor, the figure sweeps and
 /// the model matrix.
@@ -195,16 +200,16 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
         ..matrix_base()
     };
 
-    let serial_fig = figure5_with_workers(&base, &[10.0, 60.0], 1);
-    let parallel_fig = figure5_with_workers(&base, &[10.0, 60.0], 4);
+    let serial_fig = figure5(&base, &[10.0, 60.0], &on_workers(1));
+    let parallel_fig = figure5(&base, &[10.0, 60.0], &on_workers(4));
     assert_eq!(
         format!("{:?}", serial_fig.points),
         format!("{:?}", parallel_fig.points)
     );
 
     let kinds = ModelKind::synthetic();
-    let serial_m = mobility_matrix_with_workers(&base, &kinds, 1);
-    let parallel_m = mobility_matrix_with_workers(&base, &kinds, 4);
+    let serial_m = mobility_matrix(&base, &kinds, &on_workers(1));
+    let parallel_m = mobility_matrix(&base, &kinds, &on_workers(4));
     assert_eq!(
         format!("{:?}", serial_m.points),
         format!("{:?}", parallel_m.points)
@@ -212,7 +217,10 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
 
     // The reports built from them are identical too.
     assert_eq!(render_matrix(&serial_m), render_matrix(&parallel_m));
-    assert_eq!(matrix_to_json(&serial_m), matrix_to_json(&parallel_m));
+    assert_eq!(
+        panel_json(&serial_m, Projection::Results),
+        panel_json(&parallel_m, Projection::Results)
+    );
 
     // Generic executor sanity at several worker counts.
     let items: Vec<u64> = (0..100).collect();
@@ -227,8 +235,7 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
 
 /// Wall-clock speedup of the parallel runner. Ignored by default: wall-clock
 /// assertions flake when sibling tests contend for the same cores (CI
-/// machines are small), and the tracked evidence lives in
-/// `BENCH_mobility.json` anyway. Run explicitly on an otherwise-idle
+/// machines are small). Run explicitly on an otherwise-idle
 /// ≥ 4-core machine: `cargo test --release -- --ignored speedup`.
 #[test]
 #[ignore = "wall-clock sensitive; run explicitly on an idle multicore machine"]
@@ -241,10 +248,10 @@ fn parallel_sweep_speedup_on_multicore() {
     let base = matrix_base();
     let sweep = [5.0, 20.0, 60.0, 120.0];
     let t0 = std::time::Instant::now();
-    let serial = figure5_with_workers(&base, &sweep, 1);
+    let serial = figure5(&base, &sweep, &on_workers(1));
     let serial_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let parallel = figure5_with_workers(&base, &sweep, workers);
+    let parallel = figure5(&base, &sweep, &on_workers(workers));
     let parallel_s = t1.elapsed().as_secs_f64();
     assert_eq!(
         format!("{:?}", serial.points),
@@ -266,8 +273,11 @@ fn figure_points_are_labelled_with_the_model() {
         mobility: ModelKind::ManhattanGrid,
         ..matrix_base()
     };
-    let fig = figure5_with_workers(&base, &[30.0], 1);
-    assert!(fig.points.iter().all(|p| p.mobility == "manhattan-grid"));
-    let json = mhh_suite::mobsim::report::to_json(&fig);
+    let fig = figure5(&base, &[30.0], &on_workers(1));
+    assert!(fig
+        .points
+        .iter()
+        .all(|p| p.label("mobility").is_some_and(|m| m == "manhattan-grid")));
+    let json = panel_json(&fig, Projection::Results);
     assert!(json.contains("\"mobility\": \"manhattan-grid\""));
 }

@@ -14,11 +14,15 @@
 
 use std::fmt::Write as _;
 
+mod common;
+use common::check_golden;
+
 use mhh_suite::mobility::ModelKind;
-use mhh_suite::mobsim::experiments::{figure5_in, figure6_in, FigureResult};
 use mhh_suite::mobsim::protocols::ProtocolRegistry;
-use mhh_suite::mobsim::report::{render_figure, to_json};
-use mhh_suite::mobsim::{run_scenario, Protocol, ScenarioConfig, Sim, TopologyKind};
+use mhh_suite::mobsim::report::{panel_json, render_figure, Projection};
+use mhh_suite::mobsim::{
+    figure5, figure6, run_scenario, Panel, Protocol, ScenarioConfig, Sim, Sweep, TopologyKind,
+};
 use mhh_suite::simnet::random::DetRng;
 
 /// FNV-1a (64-bit offset basis and prime), pinning a Debug string
@@ -51,11 +55,16 @@ fn golden_base() -> ScenarioConfig {
 /// One line per figure point: the headline numbers in the clear (reviewable
 /// diffs) plus an FNV hash of the point's full `Debug` output (the actual
 /// byte-identity pin, ledger records included).
-fn snapshot(fig: &FigureResult) -> String {
-    let mut points: Vec<_> = fig.points.iter().collect();
-    points.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.protocol.cmp(&b.protocol)));
+fn snapshot(fig: &Panel) -> String {
+    // Ascending x (the panel's row order), protocols alphabetically.
+    let mut protocols = fig.cols();
+    protocols.sort_by_key(|protocol| protocol.to_string());
+    let cells = fig.rows().into_iter().flat_map(|x| {
+        let cell = move |protocol| Some((x, protocol, fig.cell(x, protocol)?));
+        protocols.clone().into_iter().filter_map(cell)
+    });
     let mut out = String::new();
-    for p in points {
+    for (x, protocol, p) in cells {
         let r = &p.result;
         let debug = format!("{r:?}");
         let _ = writeln!(
@@ -63,8 +72,8 @@ fn snapshot(fig: &FigureResult) -> String {
             "x={} proto={} handoffs={} mob_hops={} overhead={} delay_ms={} samples={} \
              audit=e{}/d{}/dup{}/p{}/l{}/o{} published={} delivered={} total_hops={} \
              debug_fnv={:016x}",
-            p.x,
-            p.protocol,
+            x,
+            protocol,
             r.handoffs,
             r.mobility_hops,
             r.overhead_per_handoff,
@@ -85,38 +94,25 @@ fn snapshot(fig: &FigureResult) -> String {
     out
 }
 
-fn check_golden(name: &str, actual: &str) {
-    let path = format!("{}/tests/goldens/{name}.golden", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("MHH_REGEN_GOLDENS").is_some() {
-        std::fs::create_dir_all(format!("{}/tests/goldens", env!("CARGO_MANIFEST_DIR")))
-            .expect("create goldens dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
+/// The builtin three on two sweep workers, unbudgeted.
+fn builtin_sweep() -> Sweep {
+    Sweep {
+        registry: ProtocolRegistry::builtin(),
+        workers: 2,
+        budget: None,
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e}; regen with MHH_REGEN_GOLDENS=1"));
-    assert_eq!(
-        actual, expected,
-        "{name}: zero-jitter grid runs must stay byte-identical to the \
-         pre-refactor goldens (regen deliberately with MHH_REGEN_GOLDENS=1)"
-    );
 }
 
 #[test]
 fn zero_jitter_grid_figure5_matches_pre_refactor_golden() {
-    let fig = figure5_in(
-        &ProtocolRegistry::builtin(),
-        &golden_base(),
-        &[5.0, 60.0],
-        2,
-    );
-    check_golden("figure5_small", &snapshot(&fig));
+    let fig = figure5(&golden_base(), &[5.0, 60.0], &builtin_sweep());
+    check_golden("figure5_small.golden", &snapshot(&fig));
 }
 
 #[test]
 fn zero_jitter_grid_figure6_matches_pre_refactor_golden() {
-    let fig = figure6_in(&ProtocolRegistry::builtin(), &golden_base(), &[3, 5], 2);
-    check_golden("figure6_small", &snapshot(&fig));
+    let fig = figure6(&golden_base(), &[3, 5], &builtin_sweep());
+    check_golden("figure6_small.golden", &snapshot(&fig));
 }
 
 /// FIFO-under-jitter property loop (satellite): across ≥ 5 seeds, every
@@ -253,11 +249,13 @@ fn scale_free_jitter_preset_runs_end_to_end_with_topology_label() {
         })
         .build_config()
         .unwrap();
-    let fig = figure5_in(&ProtocolRegistry::builtin(), &base, &[20.0], 2);
+    let fig = figure5(&base, &[20.0], &builtin_sweep());
     assert!(
-        fig.points.iter().all(|p| p.topology == "scale-free(m=2)"),
+        fig.points
+            .iter()
+            .all(|p| p.label("topology").is_some_and(|t| t == "scale-free(m=2)")),
         "{:?}",
-        fig.points[0].topology
+        fig.points[0].label("topology")
     );
     let text = render_figure(&fig);
     assert!(
@@ -268,7 +266,7 @@ fn scale_free_jitter_preset_runs_end_to_end_with_topology_label() {
         text.contains("p50/p95/p99"),
         "report must carry the percentile panel:\n{text}"
     );
-    let json = to_json(&fig);
+    let json = panel_json(&fig, Projection::Results);
     assert!(json.contains("\"topology\": \"scale-free(m=2)\""), "{json}");
     assert!(json.contains("\"gap_percentiles_ms\""), "{json}");
 }

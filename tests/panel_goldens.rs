@@ -11,22 +11,49 @@
 
 use std::time::Duration;
 
+mod common;
+use common::check_golden;
+
 use mhh_suite::mobility::ModelKind;
 use mhh_suite::mobsim::experiments::{
-    failure_panel_budgeted_in, figure5_budgeted_in, figure6_budgeted_in,
-    mobility_matrix_budgeted_in, proclaimed_comparison_budgeted_in, reliability_panel_budgeted_in,
-    traffic_panel_budgeted_in,
+    failure_panel, figure5, figure6, mobility_matrix, proclaimed_comparison, reliability_panel,
+    traffic_panel,
 };
 use mhh_suite::mobsim::report::{
-    failure_to_json, figure_ledgers_json, matrix_to_json, proclaimed_to_json, reliability_to_json,
-    render_failure_panel, render_figure, render_matrix, render_proclaimed,
-    render_reliability_panel, render_traffic, to_json, traffic_to_json,
+    panel_json, render_failure_panel, render_figure, render_matrix, render_proclaimed,
+    render_reliability_panel, render_traffic, Projection,
 };
 use mhh_suite::mobsim::{
-    scenarios, FaultPlan, ProtocolRegistry, Scenario, ScenarioConfig, TopologyKind, TRAFFIC_PRESETS,
+    scenarios, FaultPlan, Panel, ProtocolRegistry, Scenario, ScenarioConfig, Sweep, TopologyKind,
+    TRAFFIC_PRESETS,
 };
 
-const WORKERS: usize = 2;
+/// Two workers, unbudgeted, over the given registry.
+fn sweep(registry: ProtocolRegistry) -> Sweep {
+    Sweep {
+        registry,
+        workers: 2,
+        budget: None,
+    }
+}
+
+fn builtin() -> Sweep {
+    sweep(ProtocolRegistry::builtin())
+}
+
+fn extended() -> Sweep {
+    sweep(ProtocolRegistry::extended())
+}
+
+fn json(panel: &Panel) -> String {
+    panel_json(panel, Projection::Results)
+}
+
+/// Pin one experiment's tables and JSON export.
+fn pin(name: &str, tables: String, panel: &Panel) {
+    check_golden(&format!("panels/{name}.txt"), &tables);
+    check_golden(&format!("panels/{name}.json"), &json(panel));
+}
 
 fn tiny() -> ScenarioConfig {
     ScenarioConfig {
@@ -113,139 +140,90 @@ fn lossy_storm() -> ScenarioConfig {
 
 /// The four storm presets with their client populations trimmed.
 fn traffic_presets() -> Vec<Scenario> {
-    TRAFFIC_PRESETS
-        .iter()
-        .map(|name| {
-            let mut preset = scenarios::find(name).expect("storm preset registered");
-            preset.config.storm_publishers = preset.config.storm_publishers.min(60);
-            preset.config.storm_subscribers = preset.config.storm_subscribers.min(120);
-            preset
-        })
-        .collect()
-}
-
-fn check_golden(file: &str, actual: &str) {
-    let dir = format!("{}/tests/goldens/panels", env!("CARGO_MANIFEST_DIR"));
-    let path = format!("{dir}/{file}");
-    if std::env::var_os("MHH_REGEN_GOLDENS").is_some() {
-        std::fs::create_dir_all(&dir).expect("create goldens dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
+    let mut storms = scenarios::find_all(&TRAFFIC_PRESETS);
+    for preset in &mut storms {
+        preset.config.storm_publishers = preset.config.storm_publishers.min(60);
+        preset.config.storm_subscribers = preset.config.storm_subscribers.min(120);
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e}; regen with MHH_REGEN_GOLDENS=1"));
-    assert!(
-        actual == expected,
-        "{file} drifted from its golden (regen deliberately with MHH_REGEN_GOLDENS=1); got:\n{actual}"
-    );
+    storms
 }
 
 #[test]
 fn figure5_text_json_and_ledger_dump_are_pinned() {
-    let fig = figure5_budgeted_in(
-        &ProtocolRegistry::builtin(),
-        &tiny(),
-        &[5.0, 60.0],
-        WORKERS,
-        None,
+    let fig = figure5(&tiny(), &[5.0, 60.0], &builtin());
+    pin("figure5", render_figure(&fig), &fig);
+    check_golden(
+        "panels/figure5_ledgers.json",
+        &panel_json(&fig, Projection::Ledgers),
     );
-    check_golden("figure5.txt", &render_figure(&fig));
-    check_golden("figure5.json", &to_json(&fig));
-    check_golden("figure5_ledgers.json", &figure_ledgers_json(&fig));
 }
 
 #[test]
 fn figure6_text_and_json_are_pinned() {
-    let fig = figure6_budgeted_in(
-        &ProtocolRegistry::builtin(),
-        &proclaiming_torus(),
-        &[3, 4],
-        WORKERS,
-        None,
-    );
-    check_golden("figure6.txt", &render_figure(&fig));
-    check_golden("figure6.json", &to_json(&fig));
+    let fig = figure6(&proclaiming_torus(), &[3, 4], &builtin());
+    pin("figure6", render_figure(&fig), &fig);
 }
 
 #[test]
 fn mobility_matrix_text_and_json_are_pinned() {
-    let matrix = mobility_matrix_budgeted_in(
-        &ProtocolRegistry::builtin(),
-        &tiny(),
-        &models(),
-        WORKERS,
-        None,
-    );
-    check_golden("matrix.txt", &render_matrix(&matrix));
-    check_golden("matrix.json", &matrix_to_json(&matrix));
+    let matrix = mobility_matrix(&tiny(), &models(), &builtin());
+    pin("matrix", render_matrix(&matrix), &matrix);
 }
 
 #[test]
 fn proclaimed_comparison_text_and_json_are_pinned() {
-    let cmp =
-        proclaimed_comparison_budgeted_in(&ProtocolRegistry::builtin(), &tiny(), WORKERS, None);
-    check_golden("handover.txt", &render_proclaimed(&cmp));
-    check_golden("handover.json", &proclaimed_to_json(&cmp));
+    let cmp = proclaimed_comparison(&tiny(), &builtin());
+    pin("handover", render_proclaimed(&cmp), &cmp);
 }
 
 #[test]
 fn failure_panel_text_and_json_are_pinned() {
-    let panel = failure_panel_budgeted_in(
-        &ProtocolRegistry::extended(),
-        &failure_presets(),
-        WORKERS,
-        None,
-    );
-    check_golden("failure.txt", &render_failure_panel(&panel));
-    check_golden("failure.json", &failure_to_json(&panel));
+    let panel = failure_panel(&failure_presets(), &extended());
+    pin("failure", render_failure_panel(&panel), &panel);
 }
 
 #[test]
 fn reliability_panel_text_and_json_are_pinned() {
-    let panel =
-        reliability_panel_budgeted_in(&ProtocolRegistry::extended(), &lossy_storm(), WORKERS, None);
-    check_golden("reliability.txt", &render_reliability_panel(&panel));
-    check_golden("reliability.json", &reliability_to_json(&panel));
+    let panel = reliability_panel(&lossy_storm(), &extended());
+    pin("reliability", render_reliability_panel(&panel), &panel);
 }
 
 #[test]
 fn traffic_panel_text_and_json_are_pinned() {
-    let panel = traffic_panel_budgeted_in(&traffic_presets(), WORKERS, None);
-    check_golden("traffic.txt", &render_traffic(&panel));
-    check_golden("traffic.json", &traffic_to_json(&panel));
+    let panel = traffic_panel(&traffic_presets(), &builtin());
+    pin("traffic", render_traffic(&panel), &panel);
 }
 
 /// Every experiment under an already-expired budget: nothing runs, every
 /// cell is reported, and the text footer and JSON `skipped` list say so.
 #[test]
 fn starved_sweeps_report_every_cell_as_skipped() {
-    let starved = Some(Duration::ZERO);
-    let builtin = ProtocolRegistry::builtin();
-    let extended = ProtocolRegistry::extended();
+    let starve = |sweep: Sweep| Sweep {
+        budget: Some(Duration::ZERO),
+        ..sweep
+    };
+    let (builtin, extended) = (starve(builtin()), starve(extended()));
     let mut out = String::new();
-    let mut section = |text: String, json: String| {
+    let mut section = |text: String, panel: &Panel| {
         out.push_str(&text);
-        out.push_str(&json);
+        out.push_str(&json(panel));
         out.push('\n');
     };
 
-    let fig = figure5_budgeted_in(&builtin, &tiny(), &[5.0, 60.0], WORKERS, starved);
-    section(render_figure(&fig), to_json(&fig));
-    let fig = figure6_budgeted_in(&builtin, &tiny(), &[3, 4], WORKERS, starved);
-    section(render_figure(&fig), to_json(&fig));
-    let matrix = mobility_matrix_budgeted_in(&builtin, &tiny(), &models(), WORKERS, starved);
-    section(render_matrix(&matrix), matrix_to_json(&matrix));
-    let cmp = proclaimed_comparison_budgeted_in(&builtin, &tiny(), WORKERS, starved);
-    section(render_proclaimed(&cmp), proclaimed_to_json(&cmp));
-    let panel = failure_panel_budgeted_in(&extended, &failure_presets(), WORKERS, starved);
-    section(render_failure_panel(&panel), failure_to_json(&panel));
-    let panel = reliability_panel_budgeted_in(&extended, &lossy_storm(), WORKERS, starved);
-    section(
-        render_reliability_panel(&panel),
-        reliability_to_json(&panel),
-    );
-    let panel = traffic_panel_budgeted_in(&traffic_presets(), WORKERS, starved);
-    section(render_traffic(&panel), traffic_to_json(&panel));
+    let fig = figure5(&tiny(), &[5.0, 60.0], &builtin);
+    section(render_figure(&fig), &fig);
+    let fig = figure6(&tiny(), &[3, 4], &builtin);
+    section(render_figure(&fig), &fig);
+    let matrix = mobility_matrix(&tiny(), &models(), &builtin);
+    section(render_matrix(&matrix), &matrix);
+    let cmp = proclaimed_comparison(&tiny(), &builtin);
+    section(render_proclaimed(&cmp), &cmp);
+    let panel = failure_panel(&failure_presets(), &extended);
+    section(render_failure_panel(&panel), &panel);
+    let panel = reliability_panel(&lossy_storm(), &extended);
+    section(render_reliability_panel(&panel), &panel);
+    let panel = traffic_panel(&traffic_presets(), &builtin);
+    section(render_traffic(&panel), &panel);
 
-    check_golden("starved.txt", &out);
+    check_golden("panels/starved.txt", &out);
 }

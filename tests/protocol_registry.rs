@@ -1,17 +1,15 @@
 //! Integration tests of the object-safe protocol layer and the `Sim`
-//! facade: registry round-trips, byte-identity of dyn-dispatched runs
-//! against the generic fast path, external protocol registration, and the
+//! facade: registry round-trips, external protocol registration, and the
 //! parameter-point-keyed matrix.
 
 use mhh_suite::mobility::ModelKind;
 use mhh_suite::mobsim::protocols::{self, ProtocolRegistry, ProtocolSpec};
-use mhh_suite::mobsim::{mobility_matrix, run_scenario, run_spec, Protocol, Sim, SimError};
+use mhh_suite::mobsim::{mobility_matrix, Sim, SimError, Sweep};
 use mhh_suite::pubsub::broker::NoProtocol;
 use mhh_suite::pubsub::{erase, BrokerId, Deployment, DeploymentConfig, DynProtocol};
 
-/// The paper-fig5 environment scaled down so six full runs (three protocols
-/// × two dispatch paths) stay test-suite fast; the preset's seed (and hence
-/// its workload generator) is kept.
+/// The paper-fig5 environment scaled down so full runs stay test-suite
+/// fast; the preset's seed (and hence its workload generator) is kept.
 fn fig5_seeded() -> mhh_suite::mobsim::ScenarioConfig {
     Sim::scenario("paper-fig5")
         .grid_side(4)
@@ -54,25 +52,6 @@ fn registry_round_trip_every_name_constructs_and_self_reports() {
                 proto.name()
             );
         }
-    }
-}
-
-#[test]
-fn dyn_dispatched_fig5_runs_are_byte_identical_to_generic_runs() {
-    let config = fig5_seeded();
-    assert_eq!(config.seed, 0x4d48_485f_3230, "paper-fig5 seed preserved");
-    let registry = ProtocolRegistry::builtin();
-    for protocol in Protocol::ALL {
-        let generic = run_scenario(&config, protocol);
-        let spec = registry.find(protocol.name()).expect("builtin");
-        let erased = run_spec(&config, spec);
-        assert_eq!(
-            format!("{generic:?}"),
-            format!("{erased:?}"),
-            "{}: dyn dispatch must not change any metric",
-            protocol.label()
-        );
-        assert!(generic.handoffs > 0, "workload must move clients");
     }
 }
 
@@ -133,8 +112,8 @@ fn matrix_holds_one_kind_at_several_parameter_points() {
     let fast = ModelKind::HotspotCommuter { hotspots: 1 };
     let spread = ModelKind::HotspotCommuter { hotspots: 8 };
     let models = [fast.clone(), spread.clone()];
-    let matrix = mobility_matrix(&fig5_seeded(), &models);
-    assert_eq!(matrix.models().len(), 2, "both parameter points present");
+    let matrix = mobility_matrix(&fig5_seeded(), &models, &Sweep::default());
+    assert_eq!(matrix.rows().len(), 2, "both parameter points present");
     for model in &models {
         for proto in ["MHH", "sub-unsub", "HB"] {
             assert!(
