@@ -17,34 +17,64 @@
 //! # Indexing
 //!
 //! At city scale every broker's table holds an entry per remote subscriber
-//! (distinct per-client filters defeat `(peer, filter)` deduplication), so
-//! the original flat-`Vec` representation made event matching *and* the
-//! duplicate check on insert O(table) — the dominant per-event cost of the
-//! whole simulation. The table therefore keeps incremental indexes beside
-//! the entry vector:
+//! (distinct per-client filters defeat `(peer, filter)` deduplication), but
+//! an event goes to a neighbour *once* however many of its filters match. A
+//! routing decision should therefore cost the neighbours it selects, not the
+//! subscribers behind them. The table keeps incremental indexes beside the
+//! entry vector:
 //!
+//! * a position-indexed **compact array** (`Meta`) with each entry's
+//!   peer slot, its tombstone flag and — for an *interval entry*, a filter
+//!   made only of `Ge`/`Gt`/`Le`/`Lt`/`Eq` comparisons of one attribute with
+//!   non-NaN numbers — its **exact bounds**: the closed `[lo, hi]` such that
+//!   the filter matches an event exactly when the event's numeric value of
+//!   the attribute lies inside. Exact, because a constraint compares through
+//!   `as_f64` and among floats `x > v` is `x >= v.next_up()`: an open end is
+//!   the closed end one step further in, an unsatisfiable comparison
+//!   (`> +inf`) the empty interval, and a NaN bound makes the entry a scan
+//!   entry instead. Matching accepts or rejects an interval candidate on
+//!   two float comparisons and the covering queries rule one out on two
+//!   more, neither touching the `FilterEntry`;
 //! * per attribute, an **equality map** from the attribute value to the
 //!   single-`Eq` entries pinned to it, and a bucketed **interval grid** over
-//!   single-attribute numeric range filters (the evaluation workload's
-//!   `lo <= v < hi` selectivity windows) — an event value probes one bucket;
+//!   the interval entries — an event value probes one bucket. A bucket holds
+//!   its positions **grouped by peer slot**, ascending inside a group (one
+//!   flat position vector plus run offsets). A match skips the group of the
+//!   peer the event came from, and leaves every other group at its first
+//!   accepted entry, so it examines about one entry per peer present in the
+//!   bucket however many subscribers stand behind a neighbour broker. The
+//!   grid is **sized from the widths of the intervals it holds** — the
+//!   bucket width is a quarter of the median interval width, capped at 512
+//!   buckets and at one per entry — so an entry sits in about five buckets
+//!   (and `add`/`remove` touch five) whatever the selectivity of the
+//!   workload's filters, and the bucket a query reads holds its true matches
+//!   plus a quarter. It is built by the first match that needs it, dropped
+//!   by a compaction, and dropped to be re-sized once the attribute's
+//!   interval count has doubled or halved since it was sized;
 //! * a **residual scan list** for entries the index cannot classify
-//!   (multi-attribute filters, `Ne`/`Prefix`/`Exists`, match-all), always
-//!   probed;
+//!   (multi-attribute filters, `Ne`/`Prefix`/`Exists`, NaN bounds,
+//!   match-all), always probed;
 //! * a **duplicate map** keyed by `(peer, filter-content-hash)` and a
 //!   **per-peer position list**, making `add`'s set check, `contains`,
 //!   `filters_for` and the label helpers O(entries of that peer);
-//! * a dense **slot per peer** with an epoch-stamped mark, so "each peer at
-//!   most once" costs O(1) per candidate in `matching_targets` however many
-//!   peers match (the delivery audit matches against a table holding every
-//!   subscriber), and a peer already selected skips its remaining filters.
+//! * a dense **slot per peer** with an epoch-stamped mark holding the lowest
+//!   position at which the current match accepted an entry of the peer. The
+//!   scan list, the equality hits and the bucket groups all fold into that
+//!   per-slot minimum, and a candidate at or above it is skipped unevaluated.
 //!
-//! Candidates coming out of the index are probed in ascending entry
-//! position — exactly the insertion order the plain linear scan used — and
-//! re-checked with the real filter, so matching results are byte-identical
-//! to a naive in-order scan (pinned by a differential property test).
-//! Removals tombstone the entry and unlink it from the indexes in O(its
-//! buckets); the vector is compacted (and the indexes rebuilt) only when
-//! dead entries outnumber live ones.
+//! **Output order.** A plain in-order scan of the table emits each peer at
+//! the position of its first matching entry. The selected peers are sorted
+//! by exactly that position — the per-slot minimum — so results are
+//! byte-identical to the naive scan whatever order the index produced the
+//! candidates in (pinned by a differential property test). Scan-list and
+//! equality candidates are still confirmed with the real filter; only the
+//! provably exact interval bounds stand in for it.
+//!
+//! Every index list is in ascending position, so a removal tombstones the
+//! entry and unlinks it by binary search from the lists and buckets it is
+//! in; the vector is compacted (and the indexes rebuilt) only when dead
+//! entries outnumber live ones. Classifying an entry borrows from its
+//! filter — no string is cloned on `add`, `remove` or a match.
 //!
 //! The write side — the covering questions every subscription add/remove
 //! and every MHH handoff asks ([`FilterTable::covered_by_other`],
@@ -52,16 +82,15 @@
 //! answered from the same indexes. [`Filter::covers`] is syntactic: every
 //! constraint of the coverer must be implied by a constraint of the covered
 //! filter *on the same attribute*, and a range constraint is only implied by
-//! a tighter numeric range constraint. So the entries that can cover a query
-//! `q` are the `Eq` entries pinned to the value of one of `q`'s `Eq`
-//! constraints, the interval entries whose bounds contain `q`'s bounds on
-//! their attribute, and the residual scan list; the entries `q` can cover
-//! are — for a single-attribute `q` — the `Eq` entries of its attribute, the
-//! interval entries inside its bounds, and again the scan list. Each
-//! attribute's interval list carries the entry's `[lo, hi]` beside its
-//! position, so an interval entry is ruled out by two float comparisons
-//! without touching its filter; what survives is confirmed with the real
-//! `covers`, in ascending position where the order is visible (subscription
+//! a numeric comparison whose own exact range lies inside its range. So the
+//! entries that can cover a query `q` are the `Eq` entries pinned to the
+//! value of one of `q`'s `Eq` constraints, the interval entries whose bounds
+//! contain `q`'s bounds on their attribute, and the residual scan list; the
+//! entries `q` can cover are — for a single-attribute `q` — the `Eq` entries
+//! of its attribute, the interval entries inside its bounds, and again the
+//! scan list. An interval entry is ruled out by two float comparisons on the
+//! compact array; what survives is confirmed with the real `covers`, in
+//! ascending position where the order is visible (subscription
 //! re-propagation). A second differential property test pins all three
 //! queries to the linear walk they replaced.
 
@@ -85,34 +114,25 @@ pub struct FilterEntry {
     pub accept_only_from: Option<Peer>,
 }
 
-/// Hashable canonical form of a [`Value`] for the equality map. Two values
-/// share a key exactly when [`Value::eq_value`] holds between them: numerics
-/// canonicalise through `f64` (so `Int(3)` and `Float(3.0)` collide, as
-/// matching requires) and `-0.0` folds onto `0.0`. NaN keys may collide
-/// without harm — candidates are re-checked with the real filter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ValueKey {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-}
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-impl ValueKey {
-    fn of(value: &Value) -> Self {
-        match value {
-            Value::Int(i) => Self::num(*i as f64),
-            Value::Float(f) => Self::num(*f),
-            Value::Str(s) => ValueKey::Str(s.clone()),
-            Value::Bool(b) => ValueKey::Bool(*b),
-        }
-    }
-
-    fn num(f: f64) -> Self {
-        ValueKey::Num(if f == 0.0 {
-            0.0f64.to_bits()
-        } else {
-            f.to_bits()
-        })
+/// Key of a [`Value`] in the equality map. Values that [`Value::eq_value`]
+/// calls equal share a key: numerics canonicalise through `f64` (so `Int(3)`
+/// and `Float(3.0)` collide, as matching requires) and `-0.0` folds onto
+/// `0.0`. Unequal values may share one too (a string hashing onto a number's
+/// bits, two NaNs) without harm — whatever comes out of the equality map is
+/// re-checked with the real filter — so the key is a plain word and neither
+/// linking nor matching clones a string.
+fn value_key(value: &Value) -> u64 {
+    let num = |f: f64| if f == 0.0 { 0 } else { f.to_bits() };
+    match value {
+        Value::Int(i) => num(*i as f64),
+        Value::Float(f) => num(*f),
+        Value::Str(s) => s
+            .bytes()
+            .fold(FNV_OFFSET, |h, b| (h ^ b as u64).wrapping_mul(FNV_PRIME)),
+        Value::Bool(b) => *b as u64,
     }
 }
 
@@ -122,11 +142,10 @@ impl ValueKey {
 /// with a real equality check, so collisions cost a probe, never
 /// correctness.
 fn filter_hash(filter: &Filter) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut mix = |word: u64| {
         h ^= word;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     };
     for c in &filter.constraints {
         for b in c.attr.as_bytes() {
@@ -159,80 +178,177 @@ fn filter_hash(filter: &Filter) -> u64 {
     h
 }
 
-/// Tighten `[lo, hi]` by one numeric range constraint (`Eq` pins both
-/// ends). Returns `false`, leaving the bounds alone, for any other operator.
-/// `f64::max`/`min` ignore a NaN operand, so bounds are never NaN.
-fn narrow(lo: &mut f64, hi: &mut f64, op: Op, v: f64) -> bool {
-    match op {
-        Op::Ge | Op::Gt => *lo = lo.max(v),
-        Op::Le | Op::Lt => *hi = hi.min(v),
-        Op::Eq => {
-            *lo = lo.max(v);
-            *hi = hi.min(v);
-        }
-        _ => return false,
-    }
-    true
+/// The closed interval of `f64`s that satisfy `op v`, `None` for an operator
+/// that is not a numeric comparison. **Exact**: a constraint compares the
+/// event's value with its own through `as_f64` (see
+/// [`Constraint::matches_value`](crate::filter::Constraint::matches_value)),
+/// and among floats `x > v` is `x >= v.next_up()`, so an open end is the
+/// closed end one step further in. A comparison nothing satisfies (`> +inf`,
+/// `< -inf`) gives the empty interval `[+inf, -inf]`.
+fn exact_range(op: Op, v: f64) -> Option<(f64, f64)> {
+    const EMPTY: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+    Some(match op {
+        Op::Ge => (v, f64::INFINITY),
+        Op::Gt if v == f64::INFINITY => EMPTY,
+        Op::Gt => (v.next_up(), f64::INFINITY),
+        Op::Le => (f64::NEG_INFINITY, v),
+        Op::Lt if v == f64::NEG_INFINITY => EMPTY,
+        Op::Lt => (f64::NEG_INFINITY, v.next_down()),
+        Op::Eq => (v, v),
+        _ => return None,
+    })
 }
 
-/// The numeric interval `[lo, hi]` that over-approximates a filter whose
-/// constraints all bound one attribute: any event value satisfying the
-/// filter lies inside it (boundaries included — `Gt`/`Lt` only shrink the
-/// true match set, and a false candidate is re-checked anyway). `None` when
-/// the filter is not a single-attribute numeric range conjunction.
-fn as_interval(filter: &Filter) -> Option<(&str, f64, f64)> {
-    let mut attr: Option<&str> = None;
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-    for c in &filter.constraints {
-        let v = c.value.as_f64()?;
-        match attr {
-            None => attr = Some(&c.attr),
-            Some(a) if a == c.attr => {}
-            Some(_) => return None,
-        }
-        if !narrow(&mut lo, &mut hi, c.op, v) {
-            return None;
-        }
-    }
-    attr.map(|a| (a, lo, hi))
-}
-
-/// The bounds `filter`'s numeric range constraints put on `attr`; every
-/// other constraint is ignored. Only such a constraint can imply a range
-/// constraint (see [`Constraint::implies`](crate::filter::Constraint::implies)),
-/// so an interval entry `[lo', hi']` on `attr` can cover `filter` only when
+/// The bounds `filter`'s numeric comparisons put on `attr`: the closed
+/// `[lo, hi]`, empty when `lo > hi`, of the values that satisfy them all.
+/// Every other constraint is ignored, and so is a comparison with NaN
+/// (`f64::max`/`min` ignore a NaN operand). Only a numeric comparison can
+/// imply a range constraint (see
+/// [`Constraint::implies`](crate::filter::Constraint::implies)), and only
+/// when its own [`exact_range`] lies inside the other's, so an interval entry
+/// `[lo', hi']` on `attr` can cover `filter` only when
 /// `lo' <= lo && hi <= hi'`, and be covered by it only when
 /// `lo <= lo' && hi' <= hi` — also when either interval is empty.
 fn bounds_on(filter: &Filter, attr: &str) -> (f64, f64) {
     let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
     for c in filter.constraints.iter().filter(|c| c.attr == attr) {
-        if let Some(v) = c.value.as_f64() {
-            narrow(&mut lo, &mut hi, c.op, v);
+        if let Some((l, h)) = c.value.as_f64().and_then(|v| exact_range(c.op, v)) {
+            lo = lo.max(l);
+            hi = hi.min(h);
         }
     }
     (lo, hi)
 }
 
 /// How an entry is registered in the index (recomputed from the filter, so
-/// removal unlinks exactly what insertion linked).
-enum Class {
-    Eq(String, ValueKey),
-    Interval(String, f64, f64),
+/// removal unlinks exactly what insertion linked). Borrows the attribute
+/// name from the filter.
+enum Class<'a> {
+    /// A single `Eq` constraint: its attribute and [`value_key`].
+    Eq(&'a str, u64),
+    /// Only numeric comparisons of one attribute, none with NaN: the filter
+    /// matches an event exactly when the event's numeric value of the
+    /// attribute lies in `[lo, hi]`.
+    Interval(&'a str, f64, f64),
     Scan,
 }
 
-fn classify(filter: &Filter) -> Class {
-    if let [c] = filter.constraints.as_slice() {
-        if c.op == Op::Eq {
-            return Class::Eq(c.attr.clone(), ValueKey::of(&c.value));
-        }
+fn classify(filter: &Filter) -> Class<'_> {
+    let Some((first, rest)) = filter.constraints.split_first() else {
+        return Class::Scan;
+    };
+    if rest.is_empty() && first.op == Op::Eq {
+        return Class::Eq(&first.attr, value_key(&first.value));
     }
-    match as_interval(filter) {
-        Some((attr, lo, hi)) => Class::Interval(attr.to_string(), lo, hi),
-        None => Class::Scan,
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    for c in &filter.constraints {
+        let number = c.value.as_f64().filter(|v| !v.is_nan());
+        let range = number.and_then(|v| exact_range(c.op, v));
+        let Some((l, h)) = range.filter(|_| c.attr == first.attr) else {
+            return Class::Scan;
+        };
+        lo = lo.max(l);
+        hi = hi.min(h);
+    }
+    Class::Interval(&first.attr, lo, hi)
+}
+
+/// Remove `pos` from an ascending position list.
+fn unlink(list: &mut Vec<u32>, pos: u32) {
+    if let Ok(i) = list.binary_search(&pos) {
+        list.remove(i);
     }
 }
+
+/// What matching and the covering queries need to know about a position
+/// without touching its [`FilterEntry`]; parallel to `FilterTable::entries`.
+#[derive(Clone, Copy)]
+struct Meta {
+    /// The exact bounds of an interval entry (see [`Class::Interval`]);
+    /// meaningless for any other entry.
+    lo: f64,
+    hi: f64,
+    /// The slot of the entry's peer.
+    slot: u32,
+    /// Cleared when the entry is removed (a tombstone until compaction).
+    live: bool,
+}
+
+impl Meta {
+    /// A live entry not linked yet.
+    const FRESH: Meta = Meta {
+        lo: 0.0,
+        hi: 0.0,
+        slot: 0,
+        live: true,
+    };
+}
+
+/// One peer's positions inside a grid bucket: `pos[start..end]`, where
+/// `start` is the previous run's `end`.
+#[derive(Clone, Copy)]
+struct Run {
+    slot: u32,
+    end: u32,
+}
+
+/// One bucket of a [`Grid`]: positions **grouped by peer slot** — groups in
+/// ascending slot order, positions ascending inside a group. Flat: one
+/// position vector and one run vector however many peers it holds.
+#[derive(Clone, Default)]
+struct Bucket {
+    pos: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl Bucket {
+    /// The index of `slot`'s run (or where it would be inserted) and the
+    /// offset in `pos` at which that run starts.
+    fn run_of(&self, slot: u32) -> (usize, usize) {
+        let i = self.runs.partition_point(|r| r.slot < slot);
+        (i, i.checked_sub(1).map_or(0, |j| self.runs[j].end as usize))
+    }
+
+    /// Add a position above any the peer already has here (entries are
+    /// linked in ascending position).
+    fn insert(&mut self, slot: u32, pos: u32) {
+        let (i, start) = self.run_of(slot);
+        if self.runs.get(i).is_none_or(|r| r.slot != slot) {
+            let end = start as u32;
+            self.runs.insert(i, Run { slot, end });
+        }
+        let end = self.runs[i].end as usize;
+        debug_assert!(self.pos[start..end].last().is_none_or(|&p| p < pos));
+        self.pos.insert(end, pos);
+        for r in &mut self.runs[i..] {
+            r.end += 1;
+        }
+    }
+
+    fn remove(&mut self, slot: u32, pos: u32) {
+        let (i, start) = self.run_of(slot);
+        let Some(run) = self.runs.get(i).filter(|r| r.slot == slot) else {
+            return;
+        };
+        let Ok(k) = self.pos[start..run.end as usize].binary_search(&pos) else {
+            return;
+        };
+        self.pos.remove(start + k);
+        for r in &mut self.runs[i..] {
+            r.end -= 1;
+        }
+        if self.runs[i].end as usize == start {
+            self.runs.remove(i);
+        }
+    }
+}
+
+/// Bucket widths per median interval width. A query reads one bucket, which
+/// holds the true matches plus the intervals that only touch it — one
+/// bucket-width's worth, so a quarter more; an insert or a removal touches
+/// five buckets.
+const BUCKETS_PER_WIDTH: f64 = 4.0;
+const MAX_BUCKETS: usize = 512;
 
 /// Bucketed 1-D grid over the interval entries of one attribute. An
 /// interval is registered in every bucket it touches; a query value probes
@@ -243,80 +359,110 @@ fn classify(filter: &Filter) -> Class {
 struct Grid {
     lo: f64,
     inv_step: f64,
-    buckets: Vec<Vec<u32>>,
+    buckets: Vec<Bucket>,
+    /// How many intervals the attribute held when the grid was sized.
+    sized_for: usize,
 }
 
 impl Grid {
+    /// Size a grid for `intervals` (ascending positions) and register them.
+    /// The bucket width is a fixed fraction of the *median* interval width,
+    /// so an entry sits in a handful of buckets whatever the selectivity of
+    /// the workload's filters; intervals without a finite positive width
+    /// (one-sided, point, empty) do not vote, and there are never more
+    /// buckets than intervals.
+    fn build(intervals: &[u32], meta: &[Meta]) -> Grid {
+        let (mut dom_lo, mut dom_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut widths: Vec<f64> = Vec::with_capacity(intervals.len());
+        for m in intervals.iter().map(|&p| &meta[p as usize]) {
+            for bound in [m.lo, m.hi] {
+                if bound.is_finite() {
+                    dom_lo = dom_lo.min(bound);
+                    dom_hi = dom_hi.max(bound);
+                }
+            }
+            let width = m.hi - m.lo;
+            if width.is_finite() && width > 0.0 {
+                widths.push(width);
+            }
+        }
+        let span = (dom_hi - dom_lo).max(f64::MIN_POSITIVE);
+        let mut buckets = intervals.len().clamp(1, MAX_BUCKETS);
+        if !widths.is_empty() {
+            let mid = widths.len() / 2;
+            let (_, median, _) = widths.select_nth_unstable_by(mid, f64::total_cmp);
+            // The cast saturates: a huge ratio means "as many as allowed".
+            let wanted = (BUCKETS_PER_WIDTH * span / *median).ceil() as usize;
+            buckets = buckets.min(wanted.max(1));
+        }
+        let mut grid = Grid {
+            lo: if dom_lo.is_finite() { dom_lo } else { 0.0 },
+            inv_step: if dom_lo.is_finite() {
+                buckets as f64 / span
+            } else {
+                0.0
+            },
+            buckets: vec![Bucket::default(); buckets],
+            sized_for: intervals.len(),
+        };
+        for &p in intervals {
+            grid.insert(p, &meta[p as usize]);
+        }
+        grid
+    }
+
     fn bucket_of(&self, v: f64) -> usize {
         // Negative and NaN casts saturate to 0, oversized to usize::MAX.
         (((v - self.lo) * self.inv_step) as usize).min(self.buckets.len() - 1)
     }
 
-    fn insert(&mut self, pos: u32, lo: f64, hi: f64) {
-        for b in self.bucket_of(lo)..=self.bucket_of(hi) {
-            self.buckets[b].push(pos);
+    fn insert(&mut self, pos: u32, m: &Meta) {
+        for b in self.bucket_of(m.lo)..=self.bucket_of(m.hi) {
+            self.buckets[b].insert(m.slot, pos);
         }
     }
 
-    fn remove(&mut self, pos: u32, lo: f64, hi: f64) {
-        for b in self.bucket_of(lo)..=self.bucket_of(hi) {
-            self.buckets[b].retain(|&p| p != pos);
+    fn remove(&mut self, pos: u32, m: &Meta) {
+        for b in self.bucket_of(m.lo)..=self.bucket_of(m.hi) {
+            self.buckets[b].remove(m.slot, pos);
         }
     }
-}
-
-/// One interval entry of an attribute: its position and the bounds
-/// [`as_interval`] gave it, kept so the covering queries can discard an
-/// entry on two float comparisons without touching its filter.
-#[derive(Clone, Copy)]
-struct Span {
-    lo: f64,
-    hi: f64,
-    pos: u32,
 }
 
 /// Per-attribute index: the equality map plus the interval entries and
 /// their lazily-built grid.
 #[derive(Clone, Default)]
 struct AttrIndex {
-    eq: HashMap<ValueKey, Vec<u32>>,
+    /// [`value_key`] → the single-`Eq` entries pinned to the value, in
+    /// ascending position.
+    eq: HashMap<u64, Vec<u32>>,
     /// Every live interval entry of this attribute in ascending position
     /// (master list; the grid is derived from it and rebuilt lazily after
-    /// being dropped).
-    intervals: Vec<Span>,
+    /// being dropped). Their bounds are in `FilterTable::meta`.
+    intervals: Vec<u32>,
     grid: Option<Grid>,
 }
 
 impl AttrIndex {
-    /// The grid, built on first use from the interval entries.
-    fn grid_mut(&mut self) -> &mut Grid {
-        let intervals = &self.intervals;
-        self.grid.get_or_insert_with(|| {
-            let (mut dom_lo, mut dom_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for bound in intervals.iter().flat_map(|s| [s.lo, s.hi]) {
-                if bound.is_finite() {
-                    dom_lo = dom_lo.min(bound);
-                    dom_hi = dom_hi.max(bound);
-                }
-            }
-            let buckets = intervals.len().clamp(1, 512);
-            let span = (dom_hi - dom_lo).max(f64::MIN_POSITIVE);
-            let mut grid = Grid {
-                lo: if dom_lo.is_finite() { dom_lo } else { 0.0 },
-                inv_step: if dom_lo.is_finite() {
-                    buckets as f64 / span
-                } else {
-                    0.0
-                },
-                buckets: vec![Vec::new(); buckets],
-            };
-            // Ascending positions per bucket: `intervals` is ascending.
-            for s in intervals {
-                grid.insert(s.pos, s.lo, s.hi);
-            }
-            grid
-        })
+    /// The grid to update after `intervals` changed, if there is one. A
+    /// grid sized for fewer than half or more than twice today's intervals
+    /// is dropped instead — the next match builds one that fits — so a table
+    /// first matched while it was small does not keep a one-bucket grid.
+    fn grid_to_update(&mut self) -> Option<&mut Grid> {
+        let n = self.intervals.len();
+        self.grid
+            .take_if(|g| n > 2 * g.sized_for || 2 * n < g.sized_for);
+        self.grid.as_mut()
     }
+}
+
+/// The index of `attr`, created on first use (only then is the name
+/// allocated).
+fn attr_index<'a>(attrs: &'a mut HashMap<String, AttrIndex>, attr: &str) -> &'a mut AttrIndex {
+    if !attrs.contains_key(attr) {
+        attrs.insert(attr.to_string(), AttrIndex::default());
+    }
+    attrs.get_mut(attr).expect("just ensured")
 }
 
 /// One peer's dense slot and its entry positions.
@@ -327,6 +473,16 @@ struct PeerEntries {
     slot: u32,
     /// Ascending entry positions, for `filters_for`/`remove_peer`.
     positions: Vec<u32>,
+}
+
+/// What the latest `matching_targets` call that selected a peer found.
+#[derive(Clone, Copy, Default, PartialEq, Debug)]
+struct Mark {
+    /// The `epoch` of that call.
+    epoch: u32,
+    /// The lowest position, so far, of an entry of the peer that accepted
+    /// the call's event.
+    first: u32,
 }
 
 /// All incremental indexes over the entry vector.
@@ -340,21 +496,24 @@ struct TableIndex {
     dup: HashMap<(Peer, u64), Vec<u32>>,
     /// Peer → its slot and positions.
     by_peer: HashMap<Peer, PeerEntries>,
-    /// Per peer slot, the `epoch` of the last match that selected the peer.
-    marks: Vec<u32>,
+    /// Slot → peer.
+    peers: Vec<Peer>,
+    /// Slot → the peer's mark.
+    marks: Vec<Mark>,
     /// Stamp of the current `matching_targets` call; never 0, the value
     /// fresh marks hold.
     epoch: u32,
+    /// Scratch of `matching_targets`: the slots selected so far, and at the
+    /// end `first << 32 | slot` for the sort.
+    selected: Vec<u64>,
 }
 
 /// The filter table of a broker.
 #[derive(Clone, Default)]
 pub struct FilterTable {
     entries: Vec<FilterEntry>,
-    /// Tombstone flags, parallel to `entries`.
-    live: Vec<bool>,
-    /// Each entry's peer slot, parallel to `entries`.
-    peer_slot: Vec<u32>,
+    /// Slot, tombstone flag and exact bounds, parallel to `entries`.
+    meta: Vec<Meta>,
     live_count: usize,
     index: TableIndex,
 }
@@ -387,86 +546,81 @@ impl FilterTable {
     pub fn entries(&self) -> impl Iterator<Item = &FilterEntry> {
         self.entries
             .iter()
-            .zip(&self.live)
-            .filter_map(|(e, &alive)| alive.then_some(e))
+            .zip(&self.meta)
+            .filter_map(|(e, m)| m.live.then_some(e))
     }
 
     /// Register a (new) position in every index. The entry must already be
-    /// pushed and live, with its `peer_slot` cell allocated.
+    /// pushed, with a [`Meta::FRESH`] cell beside it, and be the highest
+    /// position linked so far.
     fn link(&mut self, pos: u32) {
         let e = &self.entries[pos as usize];
-        let peer = e.peer;
-        let h = filter_hash(&e.filter);
-        match classify(&e.filter) {
-            Class::Eq(attr, key) => self
-                .index
-                .attrs
-                .entry(attr)
-                .or_default()
-                .eq
-                .entry(key)
-                .or_default()
-                .push(pos),
-            Class::Interval(attr, lo, hi) => {
-                let aidx = self.index.attrs.entry(attr).or_default();
-                aidx.intervals.push(Span { lo, hi, pos });
-                if let Some(grid) = aidx.grid.as_mut() {
-                    grid.insert(pos, lo, hi);
-                }
-            }
-            Class::Scan => self.index.scan.push(pos),
-        }
-        self.index.dup.entry((peer, h)).or_default().push(pos);
-        let next_slot = self.index.by_peer.len() as u32;
-        let of_peer = self.index.by_peer.entry(peer).or_insert_with(|| {
-            self.index.marks.push(0);
+        let meta = &mut self.meta[pos as usize];
+        let index = &mut self.index;
+        let next_slot = index.peers.len() as u32;
+        let of_peer = index.by_peer.entry(e.peer).or_insert_with(|| {
+            index.peers.push(e.peer);
+            index.marks.push(Mark::default());
             PeerEntries {
                 slot: next_slot,
                 positions: Vec::new(),
             }
         });
         of_peer.positions.push(pos);
-        self.peer_slot[pos as usize] = of_peer.slot;
+        meta.slot = of_peer.slot;
+        let h = filter_hash(&e.filter);
+        index.dup.entry((e.peer, h)).or_default().push(pos);
+        match classify(&e.filter) {
+            Class::Eq(attr, key) => {
+                let aidx = attr_index(&mut index.attrs, attr);
+                aidx.eq.entry(key).or_default().push(pos);
+            }
+            Class::Interval(attr, lo, hi) => {
+                (meta.lo, meta.hi) = (lo, hi);
+                let aidx = attr_index(&mut index.attrs, attr);
+                aidx.intervals.push(pos);
+                if let Some(grid) = aidx.grid_to_update() {
+                    grid.insert(pos, meta);
+                }
+            }
+            Class::Scan => index.scan.push(pos),
+        }
     }
 
     /// Tombstone a live position and unlink it from every index.
     fn kill(&mut self, pos: u32) {
-        debug_assert!(self.live[pos as usize]);
-        self.live[pos as usize] = false;
+        let meta = &mut self.meta[pos as usize];
+        debug_assert!(meta.live);
+        meta.live = false;
         self.live_count -= 1;
         let e = &self.entries[pos as usize];
-        let peer = e.peer;
-        let h = filter_hash(&e.filter);
-        let class = classify(&e.filter);
-        match class {
+        let index = &mut self.index;
+        match classify(&e.filter) {
             Class::Eq(attr, key) => {
-                if let Some(aidx) = self.index.attrs.get_mut(&attr) {
-                    if let Some(bucket) = aidx.eq.get_mut(&key) {
-                        bucket.retain(|&p| p != pos);
+                let aidx = index.attrs.get_mut(attr);
+                if let Some(pinned) = aidx.and_then(|a| a.eq.get_mut(&key)) {
+                    unlink(pinned, pos);
+                }
+            }
+            Class::Interval(attr, ..) => {
+                if let Some(aidx) = index.attrs.get_mut(attr) {
+                    unlink(&mut aidx.intervals, pos);
+                    if let Some(grid) = aidx.grid_to_update() {
+                        grid.remove(pos, meta);
                     }
                 }
             }
-            Class::Interval(attr, lo, hi) => {
-                if let Some(aidx) = self.index.attrs.get_mut(&attr) {
-                    // Ascending positions: find the span instead of scanning.
-                    if let Ok(i) = aidx.intervals.binary_search_by_key(&pos, |s| s.pos) {
-                        aidx.intervals.remove(i);
-                    }
-                    if let Some(grid) = aidx.grid.as_mut() {
-                        grid.remove(pos, lo, hi);
-                    }
-                }
-            }
-            Class::Scan => self.index.scan.retain(|&p| p != pos),
+            Class::Scan => unlink(&mut index.scan, pos),
         }
-        if let Some(bucket) = self.index.dup.get_mut(&(peer, h)) {
-            bucket.retain(|&p| p != pos);
-            if bucket.is_empty() {
-                self.index.dup.remove(&(peer, h));
+        let key = (e.peer, filter_hash(&e.filter));
+        if let Some(same) = index.dup.get_mut(&key) {
+            unlink(same, pos);
+            if same.is_empty() {
+                index.dup.remove(&key);
             }
         }
-        if let Some(of_peer) = self.index.by_peer.get_mut(&peer) {
-            of_peer.positions.retain(|&p| p != pos);
+        if let Some(of_peer) = index.by_peer.get_mut(&e.peer) {
+            unlink(&mut of_peer.positions, pos);
         }
     }
 
@@ -477,13 +631,11 @@ impl FilterTable {
         if dead <= self.live_count.max(64) {
             return;
         }
-        let mut alive = self.live.iter();
+        let mut alive = self.meta.iter().map(|m| m.live);
         self.entries
-            .retain(|_| *alive.next().expect("parallel vecs"));
-        self.live.clear();
-        self.live.resize(self.entries.len(), true);
-        self.peer_slot.clear();
-        self.peer_slot.resize(self.entries.len(), 0);
+            .retain(|_| alive.next().expect("parallel vecs"));
+        self.meta.clear();
+        self.meta.resize(self.entries.len(), Meta::FRESH);
         self.live_count = self.entries.len();
         self.index = TableIndex::default();
         for pos in 0..self.entries.len() as u32 {
@@ -497,7 +649,7 @@ impl FilterTable {
         bucket
             .iter()
             .copied()
-            .find(|&p| self.live[p as usize] && &self.entries[p as usize].filter == filter)
+            .find(|&p| self.meta[p as usize].live && &self.entries[p as usize].filter == filter)
     }
 
     /// Add an unlabeled entry. Duplicate `(peer, filter)` pairs are ignored
@@ -519,8 +671,7 @@ impl FilterTable {
             filter,
             accept_only_from: label,
         });
-        self.live.push(true);
-        self.peer_slot.push(0);
+        self.meta.push(Meta::FRESH);
         self.live_count += 1;
         self.link(pos);
         true
@@ -548,7 +699,7 @@ impl FilterTable {
         };
         let mut removed = Vec::with_capacity(positions.len());
         for pos in positions {
-            if self.live[pos as usize] {
+            if self.meta[pos as usize].live {
                 removed.push(self.entries[pos as usize].filter.clone());
                 self.kill(pos);
             }
@@ -568,7 +719,7 @@ impl FilterTable {
             Some(of_peer) => of_peer
                 .positions
                 .iter()
-                .filter(|&&p| self.live[p as usize])
+                .filter(|&&p| self.meta[p as usize].live)
                 .map(|&p| &self.entries[p as usize].filter)
                 .collect(),
             None => Vec::new(),
@@ -600,58 +751,64 @@ impl FilterTable {
     /// * labeled entries only match when the event arrived from the label.
     ///
     /// Each peer is returned at most once even if several of its filters
-    /// match: selecting a peer stamps its slot with this call's epoch, so
-    /// the check is O(1) per candidate and a selected peer's later entries
-    /// are not evaluated at all. Candidate entries come from the
-    /// per-attribute equality maps and interval grids plus the residual scan
-    /// list; probing them in ascending position keeps the result order
-    /// identical to a plain in-order scan of the table.
+    /// match, in the order a plain in-order scan of the table would find
+    /// them: by the position of the peer's first matching entry. The match
+    /// keeps that position per peer slot, stamped with this call's epoch,
+    /// while it folds in the residual scan list, the equality hits and the
+    /// one grid bucket per numeric attribute of the event — an entry at or
+    /// above its peer's current first match is not evaluated at all, and a
+    /// bucket's group is left at its first accepted entry — then sorts the
+    /// selected peers by it.
     pub fn matching_targets(&mut self, event: &Event, from: Peer) -> Vec<Peer> {
-        let mut cand: Vec<u32> = self.index.scan.clone();
-        for (attr, aidx) in self.index.attrs.iter_mut() {
+        let index = &mut self.index;
+        if index.epoch == u32::MAX {
+            index.marks.fill(Mark::default());
+            index.epoch = 0;
+        }
+        index.epoch += 1;
+        index.selected.clear();
+        let mut matching = Matching {
+            event,
+            from,
+            // RPF: the entries of `from`'s slot are never candidates.
+            from_slot: index.by_peer.get(&from).map_or(u32::MAX, |p| p.slot),
+            epoch: index.epoch,
+            entries: &self.entries,
+            meta: &self.meta,
+            marks: &mut index.marks,
+            selected: &mut index.selected,
+        };
+        for &pos in &index.scan {
+            matching.evaluate(pos);
+        }
+        for (attr, aidx) in index.attrs.iter_mut() {
             let Some(value) = event.get(attr) else {
                 continue;
             };
             if !aidx.eq.is_empty() {
-                if let Some(hits) = aidx.eq.get(&ValueKey::of(value)) {
-                    cand.extend_from_slice(hits);
+                for &pos in aidx.eq.get(&value_key(value)).into_iter().flatten() {
+                    matching.evaluate(pos);
                 }
             }
             if !aidx.intervals.is_empty() {
                 if let Some(v) = value.as_f64() {
-                    let grid = aidx.grid_mut();
-                    cand.extend_from_slice(&grid.buckets[grid.bucket_of(v)]);
+                    let grid = aidx
+                        .grid
+                        .get_or_insert_with(|| Grid::build(&aidx.intervals, &self.meta));
+                    matching.probe(&grid.buckets[grid.bucket_of(v)], v);
                 }
             }
         }
-        cand.sort_unstable();
-        if self.index.epoch == u32::MAX {
-            self.index.marks.fill(0);
-            self.index.epoch = 0;
+        // Ascending first-match position is the order of an in-order scan.
+        for s in index.selected.iter_mut() {
+            *s |= (index.marks[*s as usize].first as u64) << 32;
         }
-        self.index.epoch += 1;
-        let epoch = self.index.epoch;
-        let mut out: Vec<Peer> = Vec::new();
-        for &pos in &cand {
-            if !self.live[pos as usize] {
-                continue;
-            }
-            let e = &self.entries[pos as usize];
-            if e.peer == from {
-                continue;
-            }
-            if let Some(label) = e.accept_only_from {
-                if label != from {
-                    continue;
-                }
-            }
-            let mark = &mut self.index.marks[self.peer_slot[pos as usize] as usize];
-            if *mark != epoch && e.filter.matches(event) {
-                *mark = epoch;
-                out.push(e.peer);
-            }
-        }
-        out
+        index.selected.sort_unstable();
+        index
+            .selected
+            .iter()
+            .map(|&s| index.peers[s as u32 as usize])
+            .collect()
     }
 
     /// Is there an entry from a peer other than `except` whose filter covers
@@ -681,7 +838,7 @@ impl FilterTable {
                 continue;
             };
             if c.op == Op::Eq {
-                if let Some(pinned) = aidx.eq.get(&ValueKey::of(&c.value)) {
+                if let Some(pinned) = aidx.eq.get(&value_key(&c.value)) {
                     if pinned.iter().any(|&p| hit(p)) {
                         return true;
                     }
@@ -693,8 +850,11 @@ impl FilterTable {
                 continue;
             }
             let (lo, hi) = bounds_on(filter, &c.attr);
-            let mut containing = aidx.intervals.iter().filter(|s| s.lo <= lo && hi <= s.hi);
-            if containing.any(|s| hit(s.pos)) {
+            let mut containing = aidx.intervals.iter().filter(|&&p| {
+                let m = &self.meta[p as usize];
+                m.lo <= lo && hi <= m.hi
+            });
+            if containing.any(|&p| hit(p)) {
                 return true;
             }
         }
@@ -715,14 +875,14 @@ impl FilterTable {
         if let Some(aidx) = self.index.attrs.get(&first.attr) {
             if rest.iter().all(|c| c.attr == first.attr) {
                 match filter.constraints.iter().find(|c| c.op == Op::Eq) {
-                    Some(c) => {
-                        cand.extend(aidx.eq.get(&ValueKey::of(&c.value)).into_iter().flatten())
-                    }
+                    Some(c) => cand.extend(aidx.eq.get(&value_key(&c.value)).into_iter().flatten()),
                     None => cand.extend(aidx.eq.values().flatten()),
                 }
                 let (lo, hi) = bounds_on(filter, &first.attr);
-                let inside = aidx.intervals.iter().filter(|s| lo <= s.lo && s.hi <= hi);
-                cand.extend(inside.map(|s| s.pos));
+                cand.extend(aidx.intervals.iter().filter(|&&p| {
+                    let m = &self.meta[p as usize];
+                    lo <= m.lo && m.hi <= hi
+                }));
             }
         }
         cand.sort_unstable();
@@ -763,11 +923,99 @@ impl FilterTable {
     }
 }
 
+/// One `matching_targets` call: the event, where it came from, and the
+/// per-slot first-match positions the candidates fold into.
+struct Matching<'a> {
+    event: &'a Event,
+    from: Peer,
+    from_slot: u32,
+    epoch: u32,
+    entries: &'a [FilterEntry],
+    meta: &'a [Meta],
+    marks: &'a mut [Mark],
+    selected: &'a mut Vec<u64>,
+}
+
+impl Matching<'_> {
+    /// The position below which an entry of `slot` would still lower the
+    /// peer's first match.
+    fn limit(&self, slot: u32) -> u32 {
+        let mark = &self.marks[slot as usize];
+        if mark.epoch == self.epoch {
+            mark.first
+        } else {
+            u32::MAX
+        }
+    }
+
+    /// Does the event satisfy the label of the entry at `pos`?
+    fn label_accepts(&self, pos: u32) -> bool {
+        let label = self.entries[pos as usize].accept_only_from;
+        label.is_none_or(|l| l == self.from)
+    }
+
+    /// Record `pos` (below `limit(slot)`) as the peer's first match.
+    fn select(&mut self, slot: u32, pos: u32) {
+        let mark = &mut self.marks[slot as usize];
+        if mark.epoch != self.epoch {
+            self.selected.push(slot as u64);
+        }
+        *mark = Mark {
+            epoch: self.epoch,
+            first: pos,
+        };
+    }
+
+    /// A candidate from the scan list or the equality map: confirmed with
+    /// the real filter.
+    fn evaluate(&mut self, pos: u32) {
+        let slot = self.meta[pos as usize].slot;
+        if slot == self.from_slot || pos >= self.limit(slot) {
+            return;
+        }
+        count_probe();
+        if self.label_accepts(pos) && self.entries[pos as usize].filter.matches(self.event) {
+            self.select(slot, pos);
+        }
+    }
+
+    /// The interval candidates of the bucket `v` falls in: accepted on
+    /// their exact bounds, each group only up to its first accepted entry.
+    fn probe(&mut self, bucket: &Bucket, v: f64) {
+        let mut start = 0;
+        for run in &bucket.runs {
+            let group = &bucket.pos[start..run.end as usize];
+            start = run.end as usize;
+            if run.slot == self.from_slot {
+                continue;
+            }
+            let limit = self.limit(run.slot);
+            for &pos in group.iter().take_while(|&&pos| pos < limit) {
+                count_probe();
+                let m = &self.meta[pos as usize];
+                if m.lo <= v && v <= m.hi && self.label_accepts(pos) {
+                    self.select(run.slot, pos);
+                    break;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
+    /// Entries examined by `matching_targets` on this thread (bounds
+    /// comparisons and filter evaluations), for the cost tests.
+    static MATCH_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// `Filter::covers` evaluations made by the covering queries on this
     /// thread, for the cost test.
     static COVER_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One entry examined by a match.
+fn count_probe() {
+    #[cfg(test)]
+    MATCH_PROBES.with(|n| n.set(n.get() + 1));
 }
 
 /// `wide.covers(narrow)` as the covering queries evaluate it.
@@ -945,33 +1193,39 @@ mod tests {
         assert_eq!(targets, matching);
     }
 
+    /// What a plain in-order scan of the table hands the event to.
+    fn linear_scan(t: &FilterTable, event: &Event, from: Peer) -> Vec<Peer> {
+        let mut out: Vec<Peer> = Vec::new();
+        for e in t.entries() {
+            if e.peer == from {
+                continue;
+            }
+            if let Some(label) = e.accept_only_from {
+                if label != from {
+                    continue;
+                }
+            }
+            if e.filter.matches(event) && !out.contains(&e.peer) {
+                out.push(e.peer);
+            }
+        }
+        out
+    }
+
     /// Differential check: the indexed matcher must return exactly what the
-    /// original in-order linear scan returned, across random tables, random
-    /// events, and interleaved removals (which exercise tombstones, grid
-    /// unlinking and compaction).
+    /// original in-order linear scan returned — the same peers in the same
+    /// order — across random tables, random events, and interleaved
+    /// removals (which exercise tombstones, bucket unlinking, grid re-sizes
+    /// and compaction). Bounds and event values share a small lattice, so
+    /// values sit exactly on open and closed ends all the time.
     #[test]
     fn indexed_matching_equals_linear_scan() {
         use mhh_simnet::random::DetRng;
 
-        fn reference(t: &FilterTable, event: &Event, from: Peer) -> Vec<Peer> {
-            let mut out: Vec<Peer> = Vec::new();
-            for e in t.entries() {
-                if e.peer == from {
-                    continue;
-                }
-                if let Some(label) = e.accept_only_from {
-                    if label != from {
-                        continue;
-                    }
-                }
-                if e.filter.matches(event) && !out.contains(&e.peer) {
-                    out.push(e.peer);
-                }
-            }
-            out
-        }
-
         let mut rng = DetRng::new(0xf117_ab1e);
+        // Few peers, so each owns many entries of every class: a bucket
+        // group, equality hits and scan entries of one peer compete for its
+        // first match.
         let peer = |rng: &mut DetRng| -> Peer {
             if rng.index(2) == 0 {
                 Peer::Broker(BrokerId(rng.index(4) as u32))
@@ -979,52 +1233,168 @@ mod tests {
                 Peer::Client(ClientId(rng.index(6) as u32))
             }
         };
-        let filt = |rng: &mut DetRng| -> Filter {
-            match rng.index(5) {
-                0 => f(rng.index(5) as i64),
-                1 => Filter::single("price", Op::Ge, rng.index(50) as f64),
-                2 => Filter::single("group", Op::Eq, rng.index(5) as f64),
-                3 => {
-                    let lo = rng.index(40) as f64;
-                    Filter::new(vec![])
-                        .and("price", Op::Ge, lo)
-                        .and("price", Op::Lt, lo + 10.0)
-                }
-                _ => Filter::match_all(),
+        // A lattice number as `Int` or `Float`: constraints and events
+        // compare across the two representations.
+        let num = |rng: &mut DetRng, x: i64| -> Value {
+            if rng.index(2) == 0 {
+                Value::Int(x)
+            } else {
+                Value::Float(x as f64)
             }
         };
-        for _ in 0..64 {
-            let mut t = FilterTable::new();
-            for _ in 0..rng.index(24) {
-                let label = if rng.index(3) == 0 {
-                    Some(peer(&mut rng))
-                } else {
-                    None
-                };
-                t.add_labeled(peer(&mut rng), filt(&mut rng), label);
+        const LOWER: [Op; 2] = [Op::Ge, Op::Gt];
+        const UPPER: [Op; 2] = [Op::Le, Op::Lt];
+        const ANY: [Op; 5] = [Op::Ge, Op::Gt, Op::Le, Op::Lt, Op::Eq];
+        const ODD: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let filt = |rng: &mut DetRng, spread: usize| -> Filter {
+            let x = rng.index(spread) as i64;
+            let w = 1 + rng.index(6) as i64;
+            let k = rng.index(5) as i64;
+            let near = x + rng.index(3) as i64 - 1;
+            let attr = ["price", "v"][rng.index(2)];
+            match rng.index(14) {
+                0 => f(k),
+                1 => Filter::single("group", Op::Eq, k as f64),
+                // One-sided, and a point.
+                2 => Filter::single(attr, ANY[rng.index(5)], num(rng, x)),
+                // Windows with every combination of open and closed ends.
+                3..=5 => Filter::single(attr, LOWER[rng.index(2)], num(rng, x)).and(
+                    attr,
+                    UPPER[rng.index(2)],
+                    num(rng, x + w),
+                ),
+                // `Eq` + range on one attribute, satisfiable or not.
+                6 => Filter::single(attr, Op::Eq, num(rng, x)).and(
+                    attr,
+                    ANY[rng.index(4)],
+                    num(rng, near),
+                ),
+                // Empty: lo > hi.
+                7 => Filter::single(attr, Op::Ge, num(rng, x + w)).and(attr, Op::Le, num(rng, x)),
+                // Infinite and NaN bounds, alone and beside a real one.
+                8 => Filter::single(attr, ANY[rng.index(5)], ODD[rng.index(3)]),
+                9 => Filter::single(attr, Op::Ge, num(rng, x)).and(
+                    attr,
+                    UPPER[rng.index(2)],
+                    ODD[rng.index(3)],
+                ),
+                10 => Filter::match_all(),
+                11 => f(k).and(attr, LOWER[rng.index(2)], num(rng, x)),
+                12 => {
+                    Filter::single("price", Op::Ge, num(rng, x)).and("v", Op::Lt, num(rng, x + w))
+                }
+                _ => [
+                    Filter::single("group", Op::Ne, k),
+                    Filter::single(attr, Op::Exists, 0i64),
+                    Filter::single("sym", Op::Prefix, "AC"),
+                ][rng.index(3)]
+                .clone(),
             }
-            for _ in 0..8 {
-                // Exercise append, tombstone-removal and compaction paths.
+        };
+        // NaN, infinite, string-valued and missing attributes included.
+        let event = |rng: &mut DetRng, spread: usize| -> Event {
+            let mut b = EventBuilder::new();
+            for attr in ["group", "price", "v"] {
+                let x = rng.index(if attr == "group" { 5 } else { spread + 6 }) as i64;
+                b = match rng.index(12) {
+                    0 => b,
+                    1 => b.attr(attr, ODD[rng.index(3)]),
+                    2 => b.attr(attr, "ACME"),
+                    _ => b.attr(attr, num(rng, x)),
+                };
+            }
+            if rng.index(2) == 0 {
+                b = b.attr("sym", "ACME");
+            }
+            b.build(1, ClientId(0), 0)
+        };
+        let check = |t: &mut FilterTable, rng: &mut DetRng, spread: usize| {
+            let (event, from) = (event(rng, spread), peer(rng));
+            assert_eq!(
+                t.matching_targets(&event, from),
+                linear_scan(t, &event, from),
+                "index diverged from linear scan on {event:?} from {from:?}"
+            );
+        };
+        let grid_of = |t: &FilterTable| -> Option<usize> {
+            let aidx = t.index.attrs.get("price")?;
+            Some(aidx.grid.as_ref()?.sized_for)
+        };
+
+        // Small tables, every shape.
+        for _ in 0..96 {
+            let mut t = FilterTable::new();
+            for _ in 0..rng.index(40) {
+                let label = (rng.index(3) == 0).then(|| peer(&mut rng));
+                t.add_labeled(peer(&mut rng), filt(&mut rng, 12), label);
+            }
+            for _ in 0..12 {
                 match rng.index(3) {
                     0 => {
-                        t.add(peer(&mut rng), filt(&mut rng));
+                        t.add(peer(&mut rng), filt(&mut rng, 12));
                     }
                     1 => {
                         t.remove_peer(peer(&mut rng));
                     }
                     _ => {}
                 }
-                let event = EventBuilder::new()
-                    .attr("group", rng.index(5) as i64)
-                    .attr("price", rng.index(50) as f64)
-                    .build(1, ClientId(0), 0);
-                let from = peer(&mut rng);
-                assert_eq!(
-                    t.matching_targets(&event, from),
-                    reference(&t, &event, from),
-                    "index diverged from linear scan"
-                );
+                check(&mut t, &mut rng, 12);
             }
+        }
+
+        // Tables that grow to several hundred entries and shrink again,
+        // matched all along: grids are sized early, outgrown, re-sized,
+        // emptied and dropped by compactions.
+        let (mut resizes, mut compactions) = (0, 0);
+        for _ in 0..6 {
+            let mut t = FilterTable::new();
+            for growing in [true, false, true, false] {
+                for _ in 0..700 {
+                    let (slots, sized_for) = (t.entries.len(), grid_of(&t));
+                    if rng.index(8) < if growing { 7 } else { 1 } {
+                        let label = (rng.index(4) == 0).then(|| peer(&mut rng));
+                        t.add_labeled(peer(&mut rng), filt(&mut rng, 400), label);
+                    } else if rng.index(40) == 0 {
+                        t.remove_peer(peer(&mut rng));
+                    } else if !t.is_empty() {
+                        let e = t.entries().nth(rng.index(t.len())).expect("in range");
+                        let (p, filter) = (e.peer, e.filter.clone());
+                        // (A filter with a NaN in it equals nothing, itself
+                        // included, and stays.)
+                        t.remove(p, &filter);
+                    }
+                    let compacted = t.entries.len() < slots;
+                    compactions += usize::from(compacted);
+                    resizes +=
+                        usize::from(!compacted && sized_for.is_some() && grid_of(&t).is_none());
+                    if rng.index(3) == 0 {
+                        check(&mut t, &mut rng, 400);
+                    }
+                }
+            }
+        }
+        assert!(resizes >= 12, "grid re-sizes exercised ({resizes})");
+        assert!(compactions >= 6, "compaction exercised ({compactions})");
+
+        // A labelled entry first, an unlabelled match of the same peer
+        // later — in the same bucket group, in the scan list, and behind an
+        // equality hit: the peer is found at the later position.
+        let window = |lo: f64| Filter::single("price", Op::Ge, lo).and("price", Op::Lt, lo + 10.0);
+        let mut t = FilterTable::new();
+        t.add_labeled(C1, window(0.0), Some(B2));
+        t.add_labeled(B2, f(3), Some(C1));
+        t.add(B1, window(1.0));
+        t.add(C1, window(2.0));
+        t.add(B2, Filter::match_all());
+        let e = EventBuilder::new()
+            .attr("group", 3i64)
+            .attr("price", 5.0)
+            .build(1, ClientId(0), 0);
+        assert_eq!(t.matching_targets(&e, B1), vec![C1, B2]);
+        assert_eq!(t.matching_targets(&e, B2), vec![C1, B1]);
+        assert_eq!(t.matching_targets(&e, C1), vec![B2, B1]);
+        for from in [B1, B2, C1] {
+            assert_eq!(t.matching_targets(&e, from), linear_scan(&t, &e, from));
         }
 
         // The audit's shape: thousands of peers that all match, some through
@@ -1048,12 +1418,147 @@ mod tests {
             for from in [B1, Peer::Client(ClientId(5)), Peer::Client(ClientId(1_999))] {
                 let got = t.matching_targets(&event, from);
                 assert!(got.len() >= 1_900 - 100 * round as usize);
-                assert_eq!(got, reference(&t, &event, from));
+                assert_eq!(got, linear_scan(&t, &event, from));
             }
             for i in 0..100 {
                 t.remove_peer(Peer::Client(ClientId(round * 100 + i)));
             }
         }
+    }
+
+    /// `N` distinct windows of 6.25 % selectivity (the evaluation workload's
+    /// shape), window `i` owned by `owner(i)`. With `early_match` the table
+    /// is matched once while it holds a single window, which sizes a
+    /// one-bucket grid.
+    fn windows_table(owner: impl Fn(u32) -> Peer, early_match: bool) -> FilterTable {
+        let mut t = FilterTable::new();
+        for i in 0..WINDOWS {
+            let lo = i as f64 / WINDOWS as f64;
+            let window = Filter::single("v", Op::Ge, lo).and("v", Op::Lt, lo + 0.0625);
+            t.add(owner(i), window);
+            if i == 0 && early_match {
+                assert_eq!(t.matching_targets(&ev_v(0.01), B1), vec![owner(0)]);
+            }
+        }
+        t
+    }
+
+    const WINDOWS: u32 = 2_048;
+
+    fn ev_v(v: f64) -> Event {
+        EventBuilder::new().attr("v", v).build(1, ClientId(0), 0)
+    }
+
+    /// `matching_targets` and the number of entries it examined.
+    fn probed(t: &mut FilterTable, event: &Event, from: Peer) -> (Vec<Peer>, usize) {
+        let before = MATCH_PROBES.with(|n| n.get());
+        let targets = t.matching_targets(event, from);
+        (targets, MATCH_PROBES.with(|n| n.get()) - before)
+    }
+
+    /// The point of grouping buckets by peer, as a count rather than a time:
+    /// a routing decision examines entries in proportion to the peers it can
+    /// select, not to the subscribers behind them.
+    #[test]
+    fn matching_probes_scale_with_peers() {
+        // 8 neighbour brokers own all but 32 of the windows; 32 clients one
+        // each.
+        const PEERS: usize = 8 + 32;
+        let owner = |i: u32| match i % 64 {
+            0 if i / 64 < 32 => Peer::Client(ClientId(i / 64)),
+            _ => Peer::Broker(BrokerId(i % 8)),
+        };
+        let mut t = windows_table(owner, false);
+        let (mut examined, mut selected) = (0, 0);
+        for step in 0..200 {
+            let event = ev_v(step as f64 / 200.0);
+            let from = Peer::Broker(BrokerId(step % 9));
+            let (targets, probes) = probed(&mut t, &event, from);
+            assert_eq!(targets, linear_scan(&t, &event, from));
+            assert!(
+                probes <= 3 * PEERS,
+                "{probes} entries examined for {} targets (v = {})",
+                targets.len(),
+                step as f64 / 200.0
+            );
+            examined += probes;
+            selected += targets.len();
+        }
+        assert!(selected >= 200 * 7, "every broker has a match ({selected})");
+        assert!(
+            examined <= 3 * selected,
+            "{examined} entries examined to select {selected} peers"
+        );
+
+        // The audit's shape — every window its own peer, so there is nothing
+        // to group: no more entries examined than a flat bucket holds.
+        let mut t = windows_table(|i| Peer::Client(ClientId(i)), false);
+        for step in 0..50 {
+            let v = step as f64 / 50.0;
+            let (targets, probes) = probed(&mut t, &ev_v(v), B1);
+            assert_eq!(targets.len(), 128.min((v * WINDOWS as f64) as usize + 1));
+            let grid = t.index.attrs["v"].grid.as_ref().expect("built");
+            let flat = grid.buckets[grid.bucket_of(v)].pos.len();
+            assert!(probes <= flat, "{probes} examined, {flat} in the bucket");
+            // The true matches plus the windows that begin within one
+            // bucket width (a quarter of a window) above `v`.
+            let touching = (WINDOWS as f64 * 0.0625 / BUCKETS_PER_WIDTH) as usize;
+            assert!(flat <= targets.len() + touching + 2, "{flat} in the bucket");
+        }
+    }
+
+    /// A grid sized by a match on a one-window table (one bucket: a linear
+    /// scan) is re-sized as the table grows.
+    #[test]
+    fn a_grid_sized_on_a_small_table_is_resized_as_it_grows() {
+        let mut t = windows_table(|i| Peer::Client(ClientId(i)), true);
+        let (targets, probes) = probed(&mut t, &ev_v(0.5), B1);
+        assert_eq!(targets.len(), 128);
+        assert!(probes <= 128 * 5 / 4 + 8, "{probes} entries examined");
+        let grid = t.index.attrs["v"].grid.as_ref().expect("built");
+        assert!(grid.buckets.len() > 32, "{} buckets", grid.buckets.len());
+        // ... and as it shrinks: down to 16 windows spaced 1/16 apart.
+        for i in (0..WINDOWS).filter(|i| i % 128 != 0) {
+            let lo = i as f64 / WINDOWS as f64;
+            let window = Filter::single("v", Op::Ge, lo).and("v", Op::Lt, lo + 0.0625);
+            assert!(t.remove(Peer::Client(ClientId(i)), &window));
+            if i % 100 == 0 {
+                let e = ev_v(0.5);
+                assert_eq!(t.matching_targets(&e, B1), linear_scan(&t, &e, B1));
+            }
+        }
+        assert_eq!(t.matching_targets(&ev_v(0.51), B1).len(), 1);
+        let grid = t.index.attrs["v"].grid.as_ref().expect("built");
+        assert!(grid.buckets.len() <= 16, "{} buckets", grid.buckets.len());
+    }
+
+    /// When the epoch counter wraps, the marks — epoch and first-match
+    /// position together — start over, so a stamp of the previous cycle is
+    /// not taken for one of the current call.
+    #[test]
+    fn epoch_wrap_resets_marks_and_first_positions() {
+        let mut t = FilterTable::new();
+        t.add(B2, f(4));
+        t.add(B1, f(3));
+        t.add(B2, f(3));
+        t.add(C1, f(4));
+        let slot = |t: &FilterTable, peer: Peer| t.index.by_peer[&peer].slot as usize;
+        let (b2, c1) = (slot(&t, B2), slot(&t, C1));
+        // The call stamped 1 finds B2 at position 0.
+        assert_eq!(t.matching_targets(&ev(4), B1), vec![B2, C1]);
+        assert_eq!(t.index.marks[b2], Mark { epoch: 1, first: 0 });
+        assert_eq!(t.index.marks[c1], Mark { epoch: 1, first: 3 });
+        // The last call of the cycle leaves both marks alone ...
+        t.index.epoch = u32::MAX - 1;
+        assert_eq!(t.matching_targets(&ev(3), B2), vec![B1]);
+        assert_eq!(t.index.epoch, u32::MAX);
+        assert_eq!(t.index.marks[b2], Mark { epoch: 1, first: 0 });
+        // ... and the next is stamped 1 again. Had the marks survived, B2
+        // would pass for selected at position 0, below its entry at 2.
+        assert_eq!(t.matching_targets(&ev(3), C1), vec![B1, B2]);
+        assert_eq!(t.index.epoch, 1);
+        assert_eq!(t.index.marks[b2], Mark { epoch: 1, first: 2 });
+        assert_eq!(t.index.marks[c1], Mark::default(), "reset, not selected");
     }
 
     /// Differential check of the write side: the three covering queries
