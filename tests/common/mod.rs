@@ -10,8 +10,15 @@ pub fn check_golden(file: &str, actual: &str) {
         std::fs::write(&path, actual).expect("write golden");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e}; regen with MHH_REGEN_GOLDENS=1"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {path}: {e}; goldens belong in git, so a checkout \
+             without this one lost it (`git check-ignore -v {path}` shows \
+             whether an ignore rule hides it); do not rebuild it from the code \
+             under test: MHH_REGEN_GOLDENS=1 is only for a deliberate output \
+             change, explained in the commit"
+        )
+    });
     assert!(
         actual == expected,
         "{file} drifted from its golden (regenerate deliberately with \
