@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use mhh_pubsub::broker::{BrokerCore, BrokerCtx, MobilityProtocol};
 use mhh_pubsub::{
-    BrokerId, ClientId, ConnectInfo, Event, EventQueue, Filter, Peer, ProtocolMessage, QueueKind,
+    BrokerId, ClientId, ConnectInfo, Event, EventQueue, FilterRef, Peer, ProtocolMessage, QueueKind,
 };
 use mhh_simnet::TrafficClass;
 
@@ -177,7 +177,7 @@ impl MobilityProtocol for HomeBroker {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        _filter: Filter,
+        _filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, HbMsg>,
     ) {
@@ -341,7 +341,7 @@ mod tests {
     use super::*;
     use mhh_pubsub::delivery::{audit, SubscriberLog};
     use mhh_pubsub::event::EventBuilder;
-    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Op};
+    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Filter, Op};
     use mhh_simnet::{SimTime, TrafficClass};
 
     fn filter(group: i64) -> Filter {

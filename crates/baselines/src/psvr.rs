@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 
 use mhh_pubsub::broker::{BrokerCore, BrokerCtx, MobilityProtocol};
 use mhh_pubsub::{
-    BrokerId, ClientId, ConnectInfo, Event, EventQueue, Filter, Peer, ProtocolMessage, QueueKind,
+    BrokerId, ClientId, ConnectInfo, Event, EventQueue, FilterRef, Peer, ProtocolMessage, QueueKind,
 };
 use mhh_simnet::{SimDuration, TrafficClass};
 
@@ -102,7 +102,7 @@ impl ProtocolMessage for PsvrMsg {
 #[derive(Debug, Clone)]
 struct RootRecord {
     /// The client's filter as this root last learned it.
-    filter: Filter,
+    filter: FilterRef,
     /// Events parked while the client is disconnected — and, while the
     /// stabilization sweep is in flight, events held back so the sweep's
     /// older backlog can be delivered first.
@@ -124,7 +124,7 @@ struct RootRecord {
 }
 
 impl RootRecord {
-    fn fresh(filter: Filter, parked: EventQueue) -> Self {
+    fn fresh(filter: FilterRef, parked: EventQueue) -> Self {
         RootRecord {
             filter,
             parked,
@@ -272,7 +272,7 @@ impl MobilityProtocol for Psvr {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         _proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, PsvrMsg>,
     ) {
@@ -375,7 +375,7 @@ impl MobilityProtocol for Psvr {
                 // an outage) and goes live with what it has — the
                 // self-stabilizing answer to a lost message. Connected,
                 // settled roots refresh implicitly.
-                let mut expired: Vec<(ClientId, Filter)> = Vec::new();
+                let mut expired: Vec<(ClientId, FilterRef)> = Vec::new();
                 let mut give_up: Vec<ClientId> = Vec::new();
                 for (&client, rec) in self.roots.iter_mut() {
                     if rec.connected {
@@ -442,7 +442,7 @@ impl MobilityProtocol for Psvr {
         // propagations or grown detours the healed overlay no longer
         // matches) and re-arm the lease timer the crash destroyed. Stale
         // state elsewhere is left to the ordinary sweep + lease machinery.
-        let filters: Vec<(ClientId, Filter)> = self
+        let filters: Vec<(ClientId, FilterRef)> = self
             .roots
             .iter()
             .map(|(c, r)| (*c, r.filter.clone()))
@@ -467,7 +467,7 @@ mod tests {
     use super::*;
     use mhh_pubsub::delivery::{audit, SubscriberLog};
     use mhh_pubsub::event::EventBuilder;
-    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Op};
+    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Filter, Op};
     use mhh_simnet::SimTime;
 
     const LEASE: SimDuration = SimDuration::from_millis(10_000);

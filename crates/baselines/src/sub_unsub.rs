@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mhh_pubsub::broker::{BrokerCore, BrokerCtx, MobilityProtocol};
 use mhh_pubsub::{
-    BrokerId, ClientId, ConnectInfo, Event, EventQueue, Filter, Peer, ProtocolMessage, QueueKind,
+    BrokerId, ClientId, ConnectInfo, Event, EventQueue, FilterRef, Peer, ProtocolMessage, QueueKind,
 };
 use mhh_simnet::{SimDuration, TrafficClass};
 
@@ -35,7 +35,7 @@ pub enum SuMsg {
         /// The client being handed off.
         client: ClientId,
         /// The client's filter (so the old broker can unsubscribe it).
-        filter: Filter,
+        filter: FilterRef,
     },
     /// The stored queue (or a segment of it) transferred to the new broker
     /// as one network message.
@@ -71,7 +71,7 @@ pub enum SuMsg {
         /// The client that proclaimed the move.
         client: ClientId,
         /// Its subscription (the destination has never seen it).
-        filter: Filter,
+        filter: FilterRef,
         /// The departure broker holding the stored queue.
         old_broker: BrokerId,
     },
@@ -111,7 +111,7 @@ struct Handoff {
 /// Per-client state at one broker.
 #[derive(Debug, Clone, Default)]
 struct SuClient {
-    filter: Filter,
+    filter: FilterRef,
     /// Ids of events already handed to the client from this broker. During
     /// the overlap window both the old and the new subscription are active,
     /// so the same event can reach the new broker along two tree paths; the
@@ -155,7 +155,7 @@ impl SubUnsub {
         self.wait
     }
 
-    fn entry(&mut self, client: ClientId, filter: &Filter) -> &mut SuClient {
+    fn entry(&mut self, client: ClientId, filter: &FilterRef) -> &mut SuClient {
         let e = self.clients.entry(client).or_default();
         if !filter.is_empty() {
             e.filter = filter.clone();
@@ -339,7 +339,7 @@ impl MobilityProtocol for SubUnsub {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, SuMsg>,
     ) {
@@ -393,7 +393,7 @@ impl MobilityProtocol for SubUnsub {
                 Self::serve_fetch(st, core, client, from, ctx);
             }
             SuMsg::QueueTransfer { client, events } => {
-                let st = self.entry(client, &Filter::match_all());
+                let st = self.clients.entry(client).or_default();
                 if let Some(handoff) = st.handoff.as_mut() {
                     handoff.incoming.extend(events);
                 } else if let Some(store) = st.store.as_mut() {
@@ -489,7 +489,7 @@ mod tests {
     use super::*;
     use mhh_pubsub::delivery::{audit, SubscriberLog};
     use mhh_pubsub::event::EventBuilder;
-    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Op};
+    use mhh_pubsub::{ClientAction, ClientSpec, Deployment, DeploymentConfig, Filter, Op};
     use mhh_simnet::SimTime;
 
     fn filter(group: i64) -> Filter {

@@ -5,7 +5,7 @@
 //! queue-transfer messages that realise event migration and the distributed
 //! PQ-list of Section 4.3.
 
-use mhh_pubsub::{BrokerId, ClientId, Event, Filter, PqId, ProtocolMessage};
+use mhh_pubsub::{BrokerId, ClientId, Event, FilterRef, PqId, ProtocolMessage};
 use mhh_simnet::TrafficClass;
 
 /// Whether a transferred event belongs to the PQ-list portion of event
@@ -31,14 +31,14 @@ pub enum MhhMsg {
         /// The broker the client now connects to.
         new_broker: BrokerId,
         /// The client's filter (so a broker with no state can still proceed).
-        filter: Filter,
+        filter: FilterRef,
     },
     /// Hop-by-hop subscription migration (Section 4.1).
     SubMigration {
         /// The migrating client.
         client: ClientId,
         /// The client's filter.
-        filter: Filter,
+        filter: FilterRef,
         /// The migration destination broker.
         dest: BrokerId,
         /// The broker the migration started from.
@@ -177,7 +177,7 @@ mod tests {
         let c = MhhMsg::HandoffRequest {
             client: ClientId(0),
             new_broker: BrokerId(1),
-            filter: Filter::match_all(),
+            filter: FilterRef::default(),
         };
         assert_eq!(c.traffic_class(), TrafficClass::MobilityControl);
         assert_eq!(c.kind(), "handoff_request");

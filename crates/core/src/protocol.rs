@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use mhh_pubsub::broker::{BrokerCore, BrokerCtx, MobilityProtocol};
 use mhh_pubsub::{
-    BrokerId, ClientId, ConnectInfo, Event, EventQueue, Filter, Peer, PqId, QueueKind,
+    BrokerId, ClientId, ConnectInfo, Event, EventQueue, FilterRef, Peer, PqId, QueueKind,
 };
 
 use mhh_simnet::SimDuration;
@@ -72,16 +72,14 @@ impl Mhh {
         self.clients.len()
     }
 
-    fn entry(&mut self, client: ClientId, filter: &Filter) -> &mut MhhClient {
+    fn entry(&mut self, client: ClientId, filter: &FilterRef) -> &mut MhhClient {
         self.clients
             .entry(client)
             .or_insert_with(|| MhhClient::new(filter.clone()))
     }
 
     fn entry_unknown(&mut self, client: ClientId) -> &mut MhhClient {
-        self.clients
-            .entry(client)
-            .or_insert_with(|| MhhClient::new(Filter::match_all()))
+        self.clients.entry(client).or_default()
     }
 }
 
@@ -101,7 +99,8 @@ fn start_outbound(
     let filter = st.filter.clone();
     let first_hop = core.next_hop_to(dest);
     // Step 1 (paper 4.1): the first hop becomes interested in the filter.
-    core.filters.add(Peer::Broker(first_hop), filter.clone());
+    core.filters
+        .add_ref(Peer::Broker(first_hop), filter.clone(), None);
     // Step 2: only accept events for the client that arrive from the first
     // hop (in-transit events still flowing back along the old path).
     core.filters
@@ -440,7 +439,7 @@ impl MobilityProtocol for Mhh {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut Ctx<'_>,
     ) {
@@ -560,7 +559,7 @@ impl MobilityProtocol for Mhh {
                         st.outbound.as_ref().is_some_and(|ob| ob.first_hop == from)
                             || st.tq.as_ref().is_some_and(|tq| tq.next == from);
                     if !route_of_newer {
-                        core.filters.remove(Peer::Broker(from), &filter);
+                        core.filters.remove_ref(Peer::Broker(from), &filter);
                     }
                 }
                 if core.id == dest {
@@ -571,7 +570,8 @@ impl MobilityProtocol for Mhh {
                     // direction — unless we have *already* started migrating
                     // the root onward (outbound in flight), in which case the
                     // entry is the capture window of that newer migration.
-                    core.filters.add(Peer::Client(client), filter.clone());
+                    core.filters
+                        .add_ref(Peer::Client(client), filter.clone(), None);
                     let label = st.outbound.as_ref().map(|ob| Peer::Broker(ob.first_hop));
                     core.filters.set_label(Peer::Client(client), &filter, label);
                     let connected = core.is_connected(client);
@@ -604,8 +604,11 @@ impl MobilityProtocol for Mhh {
                     // Broker on the path: re-point the overlay entries,
                     // capture in-transit events, acknowledge and forward.
                     let next = core.next_hop_to(dest);
-                    core.filters.add(Peer::Broker(next), filter.clone());
-                    let inserted = core.filters.add(Peer::Client(client), filter.clone());
+                    core.filters
+                        .add_ref(Peer::Broker(next), filter.clone(), None);
+                    let inserted = core
+                        .filters
+                        .add_ref(Peer::Client(client), filter.clone(), None);
                     if inserted || !core.is_connected(client) {
                         // Point the capture window at the next hop, refreshing
                         // a stale label from an earlier migration through this
@@ -665,7 +668,7 @@ impl MobilityProtocol for Mhh {
                 // way a stale ack must not tear it down.
                 if core.filters.label_of(Peer::Client(client), &filter) == Some(Peer::Broker(from))
                 {
-                    core.filters.remove(Peer::Client(client), &filter);
+                    core.filters.remove_ref(Peer::Client(client), &filter);
                 }
                 // Path broker: the capture window is now safely closed — but
                 // only an ack from *this* TQ's next hop closes it (a broker

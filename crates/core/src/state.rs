@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use mhh_pubsub::{BrokerId, ClientId, Event, EventQueue, Filter, PqId, QueueKind};
+use mhh_pubsub::{BrokerId, ClientId, Event, EventQueue, FilterRef, PqId, QueueKind};
 
 /// This broker is the client's current subscription root ("anchor").
 #[derive(Debug, Clone, Default)]
@@ -54,7 +54,7 @@ pub struct OutboundState {
     /// The first hop of the overlay path toward the destination.
     pub first_hop: BrokerId,
     /// The client's filter.
-    pub filter: Filter,
+    pub filter: FilterRef,
     /// How many times the `sub_migration` has been (re-)sent without an
     /// acknowledgement. Only advances when the protocol runs with recovery
     /// enabled (see `Mhh::with_recovery`); stale watchdog timers carry the
@@ -109,14 +109,14 @@ pub struct DestState {
     /// (delivered last).
     pub new_q: Option<EventQueue>,
     /// The client's filter.
-    pub filter: Filter,
+    pub filter: FilterRef,
 }
 
 impl DestState {
     /// Fresh destination state.
     pub fn new(
         origin: BrokerId,
-        filter: Filter,
+        filter: FilterRef,
         client_connected: bool,
         imm: EventQueue,
         tq_buf: EventQueue,
@@ -158,7 +158,7 @@ impl DestState {
 #[derive(Debug, Clone, Default)]
 pub struct MhhClient {
     /// The client's filter as this broker last learned it.
-    pub filter: Filter,
+    pub filter: FilterRef,
     /// Queues physically stored at this broker, keyed by their PQ-id sequence
     /// number.
     pub local: BTreeMap<u32, EventQueue>,
@@ -185,7 +185,7 @@ pub struct MhhClient {
 
 impl MhhClient {
     /// Create state for a client with the given filter.
-    pub fn new(filter: Filter) -> Self {
+    pub fn new(filter: FilterRef) -> Self {
         MhhClient {
             filter,
             ..Default::default()
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn park_and_take_round_trip() {
-        let mut c = MhhClient::new(Filter::match_all());
+        let mut c = MhhClient::default();
         c.park(q(3));
         assert!(!c.is_empty());
         let taken = c.take_local(PqId {
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn buffered_collects_all_roles() {
-        let mut c = MhhClient::new(Filter::match_all());
+        let mut c = MhhClient::default();
         let mut pq = q(0);
         pq.push(EventBuilder::new().attr("a", 1i64).build(1, ClientId(9), 0));
         c.park(pq);
@@ -323,7 +323,7 @@ mod tests {
             acked: false,
             deliver_pending: None,
         });
-        let mut dest = DestState::new(BrokerId(3), Filter::match_all(), true, q(2), q(3));
+        let mut dest = DestState::new(BrokerId(3), FilterRef::default(), true, q(2), q(3));
         dest.imm
             .push(EventBuilder::new().attr("a", 1i64).build(3, ClientId(9), 2));
         c.dest = Some(dest);
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn dest_state_completion_logic() {
-        let mut d = DestState::new(BrokerId(0), Filter::match_all(), true, q(0), q(1));
+        let mut d = DestState::new(BrokerId(0), FilterRef::default(), true, q(0), q(1));
         assert!(!d.finished());
         d.got_sub_migration = true;
         d.tq_done = true;
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn is_empty_reflects_roles() {
-        let mut c = MhhClient::new(Filter::match_all());
+        let mut c = MhhClient::default();
         assert!(c.is_empty());
         c.anchor = Some(AnchorState::default());
         assert!(!c.is_empty());

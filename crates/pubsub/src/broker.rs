@@ -22,8 +22,7 @@ use crate::address::{AddressBook, BrokerId, ClientId, Peer};
 use crate::dynproto::BoxedMsg;
 use crate::event::Event;
 use crate::event::EventId;
-use crate::filter::Filter;
-use crate::filter_table::{FilterEntry, FilterTable};
+use crate::filter_table::{FilterEntry, FilterRef, FilterTable};
 use crate::messages::{ConnectInfo, NetMsg, ProtocolMessage, RepairMsg};
 use crate::queue::PqId;
 use crate::repair::RepairState;
@@ -225,7 +224,7 @@ pub trait MobilityProtocol: Sized + Send {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, Self::Msg>,
     );
@@ -313,7 +312,7 @@ pub struct BrokerCore {
     /// The filter table (Section 3).
     pub filters: FilterTable,
     /// Currently connected clients and their filters.
-    pub connected: BTreeMap<ClientId, Filter>,
+    pub connected: BTreeMap<ClientId, FilterRef>,
     /// Whether the covering optimisation is applied to subscription
     /// propagation.
     pub covering_enabled: bool,
@@ -375,7 +374,7 @@ pub struct BrokerCore {
     pub stale_resubscribes: u64,
     /// Pre-crash connected snapshot stashed between `Restarted` and the
     /// replica holder's `ReplicaResponse`.
-    pub(crate) pending_restore: Option<BTreeMap<ClientId, Filter>>,
+    pub(crate) pending_restore: Option<BTreeMap<ClientId, FilterRef>>,
     /// Per-client allocator for persistent-queue identifiers.
     pq_seq: BTreeMap<ClientId, u32>,
 }
@@ -596,7 +595,7 @@ impl BrokerCore {
     pub fn apply_subscribe<P: ProtocolMessage>(
         &mut self,
         from: Peer,
-        filter: Filter,
+        filter: FilterRef,
         mobility: bool,
         ctx: &mut BrokerCtx<'_, P>,
     ) {
@@ -621,7 +620,7 @@ impl BrokerCore {
             }
             to_notify.push(nb);
         }
-        let inserted = self.filters.add(from, filter.clone());
+        let inserted = self.filters.add_ref(from, filter.clone(), None);
         if !inserted {
             // Exact duplicate from the same peer: nothing new to tell anyone.
             return;
@@ -642,11 +641,11 @@ impl BrokerCore {
     pub fn apply_unsubscribe<P: ProtocolMessage>(
         &mut self,
         from: Peer,
-        filter: Filter,
+        filter: FilterRef,
         mobility: bool,
         ctx: &mut BrokerCtx<'_, P>,
     ) {
-        let removed = self.filters.remove(from, &filter);
+        let removed = self.filters.remove_ref(from, &filter);
         if !removed {
             return;
         }
@@ -668,7 +667,7 @@ impl BrokerCore {
                 // being removed covered them must be re-announced *before*
                 // the unsubscription (per-link FIFO keeps the order), or the
                 // neighbor drops the route for filters still needed here.
-                let mut repropagate: Vec<Filter> = Vec::new();
+                let mut repropagate: Vec<FilterRef> = Vec::new();
                 for e in covered.get_or_insert_with(|| self.filters.covered_entries(&filter)) {
                     if e.peer != Peer::Broker(nb) && !repropagate.contains(&e.filter) {
                         repropagate.push(e.filter.clone());
@@ -851,7 +850,7 @@ impl<P: MobilityProtocol> Broker<P> {
                             .filters
                             .filters_for(Peer::Client(client))
                             .first()
-                            .map(|f| (*f).clone())
+                            .map(|&f| f.clone())
                     })
                     .unwrap_or_default();
                 self.proto.on_client_disconnect(
@@ -937,29 +936,28 @@ impl<P: MobilityProtocol> Node<NetMsg<P::Msg>> for Broker<P> {
 /// `subscription_root` is the broker the subscription is rooted at (the
 /// client's attachment broker, or its home broker for the home-broker
 /// baseline). When `attach` is true the client is also marked as connected
-/// there.
+/// there. Every broker's entry holds the same `filter` record.
 pub fn install_subscription<P: MobilityProtocol>(
     brokers: &mut [Broker<P>],
     network: &Network,
     client: ClientId,
-    filter: &Filter,
+    filter: &FilterRef,
     subscription_root: BrokerId,
     attach: bool,
 ) {
     for broker in brokers.iter_mut() {
         let here = broker.core.id;
-        if here == subscription_root {
-            broker
-                .core
-                .filters
-                .add(Peer::Client(client), filter.clone());
+        let peer = if here == subscription_root {
             if attach {
                 broker.core.connected.insert(client, filter.clone());
             }
+            Peer::Client(client)
         } else {
-            let next = BrokerId(network.next_hop(here.index(), subscription_root.index()) as u32);
-            broker.core.filters.add(Peer::Broker(next), filter.clone());
-        }
+            Peer::Broker(BrokerId(
+                network.next_hop(here.index(), subscription_root.index()) as u32,
+            ))
+        };
+        broker.core.filters.add_ref(peer, filter.clone(), None);
     }
 }
 
@@ -993,7 +991,7 @@ impl MobilityProtocol for NoProtocol {
         &mut self,
         _core: &mut BrokerCore,
         _client: ClientId,
-        _filter: Filter,
+        _filter: FilterRef,
         _proclaimed_dest: Option<BrokerId>,
         _ctx: &mut BrokerCtx<'_, Self::Msg>,
     ) {
@@ -1026,7 +1024,7 @@ impl MobilityProtocol for NoProtocol {
 mod tests {
     use super::*;
     use crate::client::ClientNode;
-    use crate::filter::Op;
+    use crate::filter::{Filter, Op};
     use crate::messages::ClientAction;
     use mhh_simnet::{Engine, GridFabric, TrafficClass};
 
@@ -1056,7 +1054,7 @@ mod tests {
         let network = Arc::new(Network::grid(3, 7));
         let book = AddressBook::new(9, clients);
         let fabric = Arc::new(GridFabric::paper_defaults(network.clone()));
-        let filter = Filter::single("group", Op::Eq, 1i64);
+        let filter = FilterRef::new(Filter::single("group", Op::Eq, 1i64));
 
         let mut brokers: Vec<Broker<NoProtocol>> = book
             .brokers()
@@ -1153,7 +1151,7 @@ mod tests {
     fn subscription_install_points_toward_root() {
         let network = Arc::new(Network::grid(3, 7));
         let book = AddressBook::new(9, 1);
-        let filter = Filter::single("group", Op::Eq, 2i64);
+        let filter = FilterRef::new(Filter::single("group", Op::Eq, 2i64));
         let mut brokers: Vec<Broker<NoProtocol>> = book
             .brokers()
             .map(|b| Broker::new(BrokerCore::new(b, book, network.clone(), true), NoProtocol))

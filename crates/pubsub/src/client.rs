@@ -19,6 +19,7 @@ use mhh_simnet::{Context, Envelope, Node, SimDuration, SimTime};
 use crate::address::{AddressBook, BrokerId, ClientId};
 use crate::event::{Event, EventId};
 use crate::filter::Filter;
+use crate::filter_table::FilterRef;
 use crate::messages::{ClientAction, ConnectInfo, NetMsg, ProtocolMessage};
 
 /// Base delay in milliseconds before the first publish retry; doubles per
@@ -88,6 +89,9 @@ pub struct ClientNode {
     pub book: AddressBook,
     /// The client's subscription.
     pub filter: Filter,
+    /// The same subscription as the record it presents when it connects,
+    /// shared with the brokers' tables.
+    pub subscription: FilterRef,
     /// The client's home broker (initial attachment broker).
     pub home_broker: BrokerId,
     /// Broker the client is currently attached to (None while disconnected).
@@ -130,12 +134,20 @@ pub struct ClientNode {
 impl ClientNode {
     /// Create a client that considers `home` its home broker. The caller
     /// decides whether to mark it as initially attached by setting
-    /// [`current_broker`](Self::current_broker).
-    pub fn new(id: ClientId, book: AddressBook, filter: Filter, home: BrokerId) -> Self {
+    /// [`current_broker`](Self::current_broker). `filter` is a [`Filter`]
+    /// or an already shared [`FilterRef`].
+    pub fn new(
+        id: ClientId,
+        book: AddressBook,
+        filter: impl Into<FilterRef>,
+        home: BrokerId,
+    ) -> Self {
+        let subscription = filter.into();
         ClientNode {
             id,
             book,
-            filter,
+            filter: subscription.filter().clone(),
+            subscription,
             home_broker: home,
             current_broker: None,
             last_broker: None,
@@ -280,7 +292,7 @@ impl ClientNode {
                     self.book.broker_node(broker),
                     NetMsg::Connect(ConnectInfo {
                         client: self.id,
-                        filter: self.filter.clone(),
+                        filter: self.subscription.clone(),
                         home_broker: self.home_broker,
                         last_broker: self.last_broker,
                         initial,

@@ -8,6 +8,8 @@
 //! parallel) over the union of the two node populations. [`Deployment`]
 //! packages that.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mhh_simnet::{
@@ -20,6 +22,7 @@ use crate::broker::{install_subscription, Broker, BrokerCore, MobilityProtocol};
 use crate::client::ClientNode;
 use crate::event::Event;
 use crate::filter::Filter;
+use crate::filter_table::{filter_hash, FilterRef};
 use crate::messages::{ClientAction, NetMsg, RepairMsg};
 use crate::wire::{FanoutMode, FanoutStats};
 
@@ -252,12 +255,21 @@ impl<P: MobilityProtocol> Deployment<P> {
             })
             .collect();
 
+        // One record per distinct client filter, shared by the client and
+        // every broker's table: keyed by content hash, confirmed by
+        // equality (a collision of different content just gets its own).
+        let mut records: HashMap<u64, FilterRef> = HashMap::new();
         let mut client_nodes = Vec::with_capacity(clients.len());
         for (i, spec) in clients.iter().enumerate() {
             let id = ClientId(i as u32);
-            let mut node = ClientNode::new(id, book, spec.filter.clone(), spec.home);
+            let record = match records.entry(filter_hash(&spec.filter)) {
+                Entry::Occupied(known) if *known.get() == spec.filter => known.get().clone(),
+                Entry::Occupied(_) => FilterRef::new(spec.filter.clone()),
+                Entry::Vacant(slot) => slot.insert(FilterRef::new(spec.filter.clone())).clone(),
+            };
+            let mut node = ClientNode::new(id, book, record.clone(), spec.home);
             if spec.initially_attached {
-                install_subscription(&mut brokers, &network, id, &spec.filter, spec.home, true);
+                install_subscription(&mut brokers, &network, id, &record, spec.home, true);
                 node.attach_initially();
             }
             node.mobile = spec.mobile;

@@ -33,7 +33,7 @@ use mhh_simnet::TrafficClass;
 use crate::address::{BrokerId, ClientId, Peer};
 use crate::broker::{BrokerCore, BrokerCtx, MobilityProtocol};
 use crate::event::Event;
-use crate::filter::Filter;
+use crate::filter_table::FilterRef;
 use crate::messages::{ConnectInfo, ProtocolMessage};
 
 /// Object-safe view of one protocol message: everything [`ProtocolMessage`]
@@ -146,7 +146,7 @@ pub trait DynProtocol: Send {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, BoxedMsg>,
     );
@@ -206,7 +206,7 @@ impl<P: MobilityProtocol> DynProtocol for ErasedProtocol<P> {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, BoxedMsg>,
     ) {
@@ -292,7 +292,7 @@ impl MobilityProtocol for Box<dyn DynProtocol> {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        filter: Filter,
+        filter: FilterRef,
         proclaimed_dest: Option<BrokerId>,
         ctx: &mut BrokerCtx<'_, Self::Msg>,
     ) {
@@ -341,7 +341,7 @@ mod tests {
     use crate::broker::NoProtocol;
     use crate::deployment::{ClientSpec, Deployment, DeploymentConfig};
     use crate::event::EventBuilder;
-    use crate::filter::Op;
+    use crate::filter::{Filter, Op};
     use crate::messages::{ClientAction, NoProtocolMsg};
     use mhh_simnet::SimTime;
 

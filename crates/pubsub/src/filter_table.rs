@@ -14,6 +14,28 @@
 //! * per-entry bookkeeping helpers used by subscription propagation with the
 //!   optional covering optimisation.
 //!
+//! # Shared records
+//!
+//! Every broker holds an entry per remote subscriber, and the filter is the
+//! same in all of them; only the neighbour differs. An entry therefore holds
+//! a [`FilterRef`]: a reference-counted, immutable record of the filter with
+//! its content hash and its index class (below) computed once, when the
+//! record is made. A deployment makes one record per distinct client filter
+//! and every broker's table, every message that carries the subscription
+//! (propagation, repair, migration) and every checkpoint holds a clone of it,
+//! so installing a subscription on N brokers copies a pointer N times and
+//! dropping the tables frees nothing per entry but the last reference.
+//! [`FilterTable::add_ref`] is the one insertion path (`add` and
+//! `add_labeled` wrap a fresh record); linking, unlinking, the duplicate
+//! check and [`FilterTable::distinct_filters`] read the cached hash and
+//! class, so adding or removing an entry never hashes or classifies its
+//! filter and `add` allocates nothing of its own — only the amortized growth
+//! of the table's vectors and maps. Equality stays by content (the same
+//! record, or equal hashes and equal filters), and nothing is hashed or
+//! ordered by address, so tables built from shared records and from
+//! per-entry copies are identical (pinned by the `shared_filters`
+//! differential test).
+//!
 //! # Indexing
 //!
 //! At city scale every broker's table holds an entry per remote subscriber
@@ -54,9 +76,12 @@
 //! * a **residual scan list** for entries the index cannot classify
 //!   (multi-attribute filters, `Ne`/`Prefix`/`Exists`, NaN bounds,
 //!   match-all), always probed;
-//! * a **duplicate map** keyed by `(peer, filter-content-hash)` and a
-//!   **per-peer position list**, making `add`'s set check, `contains`,
-//!   `filters_for` and the label helpers O(entries of that peer);
+//! * a **duplicate map** from `(peer, content hash)` to the one position
+//!   holding it — a true 64-bit collision of different content (or a filter
+//!   with a NaN, which equals nothing) goes to a side list, almost always
+//!   empty — and a **per-peer position list**, making `add`'s set check,
+//!   `contains` and the label helpers O(1) and `filters_for` O(entries of
+//!   that peer);
 //! * a dense **slot per peer** with an epoch-stamped mark holding the lowest
 //!   position at which the current match accepted an entry of the peer. The
 //!   scan list, the equality hits and the bucket groups all fold into that
@@ -73,8 +98,8 @@
 //! Every index list is in ascending position, so a removal tombstones the
 //! entry and unlinks it by binary search from the lists and buckets it is
 //! in; the vector is compacted (and the indexes rebuilt) only when dead
-//! entries outnumber live ones. Classifying an entry borrows from its
-//! filter — no string is cloned on `add`, `remove` or a match.
+//! entries outnumber live ones. An entry's class is read from its record —
+//! no string is cloned on `add`, `remove` or a match.
 //!
 //! The write side — the covering questions every subscription add/remove
 //! and every MHH handoff asks ([`FilterTable::covered_by_other`],
@@ -94,8 +119,10 @@
 //! re-propagation). A second differential property test pins all three
 //! queries to the linear walk they replaced.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::address::Peer;
 use crate::event::Event;
@@ -107,8 +134,9 @@ use crate::value::Value;
 pub struct FilterEntry {
     /// The interested neighbor (broker or client).
     pub peer: Peer,
-    /// The filter the neighbor is interested in.
-    pub filter: Filter,
+    /// The filter the neighbor is interested in — a record shared with
+    /// every other table (and message) that holds the same subscription.
+    pub filter: FilterRef,
     /// MHH accept-only-from label: when set, events for this entry are only
     /// accepted when they arrive from the given neighbor.
     pub accept_only_from: Option<Peer>,
@@ -138,10 +166,10 @@ fn value_key(value: &Value) -> u64 {
 
 /// FNV-1a content hash of a filter, respecting `Filter`'s derived equality
 /// (equal filters hash equal; constraint order matters, as it does for
-/// `PartialEq`). Used only to key the duplicate map — lookups always confirm
-/// with a real equality check, so collisions cost a probe, never
-/// correctness.
-fn filter_hash(filter: &Filter) -> u64 {
+/// `PartialEq`). Used only to key the duplicate map and the deduplication of
+/// records — lookups always confirm with a real equality check, so
+/// collisions cost a probe, never correctness.
+pub(crate) fn filter_hash(filter: &Filter) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |word: u64| {
         h ^= word;
@@ -220,25 +248,27 @@ fn bounds_on(filter: &Filter, attr: &str) -> (f64, f64) {
     (lo, hi)
 }
 
-/// How an entry is registered in the index (recomputed from the filter, so
-/// removal unlinks exactly what insertion linked). Borrows the attribute
-/// name from the filter.
-enum Class<'a> {
-    /// A single `Eq` constraint: its attribute and [`value_key`].
-    Eq(&'a str, u64),
+/// How an entry is registered in the index. Computed once, when its
+/// [`FilterRef`] is made, so removal unlinks exactly what insertion linked.
+/// The attribute of an `Eq` or `Interval` entry is that of the filter's
+/// first constraint.
+#[derive(Clone, Copy)]
+enum Class {
+    /// A single `Eq` constraint: the [`value_key`] of its value.
+    Eq(u64),
     /// Only numeric comparisons of one attribute, none with NaN: the filter
     /// matches an event exactly when the event's numeric value of the
     /// attribute lies in `[lo, hi]`.
-    Interval(&'a str, f64, f64),
+    Interval(f64, f64),
     Scan,
 }
 
-fn classify(filter: &Filter) -> Class<'_> {
+fn classify(filter: &Filter) -> Class {
     let Some((first, rest)) = filter.constraints.split_first() else {
         return Class::Scan;
     };
     if rest.is_empty() && first.op == Op::Eq {
-        return Class::Eq(&first.attr, value_key(&first.value));
+        return Class::Eq(value_key(&first.value));
     }
     let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
     for c in &filter.constraints {
@@ -250,7 +280,119 @@ fn classify(filter: &Filter) -> Class<'_> {
         lo = lo.max(l);
         hi = hi.min(h);
     }
-    Class::Interval(&first.attr, lo, hi)
+    Class::Interval(lo, hi)
+}
+
+/// A subscription's filter as the tables hold it: one immutable record,
+/// shared by reference count between every broker's table, the messages
+/// that carry the subscription and the protocols' per-client state, so
+/// installing a subscription on every broker, a propagation hop, a handoff
+/// or a checkpoint copies a pointer, not the filter.
+///
+/// The record also caches what the table's indexes need: the filter's
+/// content hash and its index class (see `# Indexing` in the module docs),
+/// both computed once, here. The filter itself is reached through `Deref`.
+///
+/// **Equality is by content**, as for [`Filter`]: two records are equal
+/// when they are the same record or when their hashes and filters are
+/// equal. Sharing is only the fast path, and nothing is ever hashed or
+/// ordered by address, so a run replays byte for byte whatever was shared.
+/// `Debug` prints the filter exactly as [`Filter`] does.
+#[derive(Clone)]
+pub struct FilterRef(Arc<Record>);
+
+struct Record {
+    filter: Filter,
+    hash: u64,
+    class: Class,
+}
+
+impl FilterRef {
+    /// Make a record for `filter` (hashing and classifying it).
+    pub fn new(filter: Filter) -> Self {
+        FilterRef(Arc::new(Record {
+            hash: filter_hash(&filter),
+            class: classify(&filter),
+            filter,
+        }))
+    }
+
+    /// The filter.
+    pub fn filter(&self) -> &Filter {
+        &self.0.filter
+    }
+
+    /// Whether `a` and `b` are the same record (not merely equal filters).
+    pub fn ptr_eq(a: &FilterRef, b: &FilterRef) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// A record claiming `hash` as its content hash, to stage collisions.
+    #[cfg(test)]
+    fn with_hash(filter: Filter, hash: u64) -> Self {
+        let record = FilterRef::new(filter);
+        let Record { filter, class, .. } = Arc::into_inner(record.0).expect("fresh");
+        FilterRef(Arc::new(Record {
+            filter,
+            hash,
+            class,
+        }))
+    }
+
+    /// The cached content hash.
+    fn hash(&self) -> u64 {
+        self.0.hash
+    }
+
+    /// The cached index class.
+    fn class(&self) -> Class {
+        self.0.class
+    }
+
+    /// The attribute an `Eq` or `Interval` entry is indexed under.
+    fn indexed_attr(&self) -> &str {
+        &self.0.filter.constraints[0].attr
+    }
+}
+
+impl std::ops::Deref for FilterRef {
+    type Target = Filter;
+
+    fn deref(&self) -> &Filter {
+        &self.0.filter
+    }
+}
+
+impl From<Filter> for FilterRef {
+    fn from(filter: Filter) -> Self {
+        FilterRef::new(filter)
+    }
+}
+
+impl Default for FilterRef {
+    /// A record of the match-all filter.
+    fn default() -> Self {
+        FilterRef::new(Filter::match_all())
+    }
+}
+
+impl PartialEq for FilterRef {
+    fn eq(&self, other: &FilterRef) -> bool {
+        FilterRef::ptr_eq(self, other)
+            || (self.hash() == other.hash() && self.0.filter == other.0.filter)
+    }
+}
+
+impl PartialEq<Filter> for FilterRef {
+    fn eq(&self, other: &Filter) -> bool {
+        self.0.filter == *other
+    }
+}
+
+impl fmt::Debug for FilterRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0.filter, f)
+    }
 }
 
 /// Remove `pos` from an ascending position list.
@@ -491,9 +633,14 @@ struct TableIndex {
     attrs: HashMap<String, AttrIndex>,
     /// Unclassifiable entries, always probed.
     scan: Vec<u32>,
-    /// `(peer, filter_hash)` → positions, for O(1) duplicate/`contains`/
-    /// label lookups (confirmed by real equality at the listed positions).
-    dup: HashMap<(Peer, u64), Vec<u32>>,
+    /// `(peer, content hash)` → the position holding it, for O(1)
+    /// duplicate/`contains`/label lookups (confirmed by real equality).
+    dup: HashMap<(Peer, u64), u32>,
+    /// Positions whose `(peer, content hash)` key another live entry held
+    /// when they were linked: a true hash collision of different content
+    /// (or a filter with a NaN, which equals nothing). Ascending; almost
+    /// always empty.
+    collided: Vec<u32>,
     /// Peer → its slot and positions.
     by_peer: HashMap<Peer, PeerEntries>,
     /// Slot → peer.
@@ -568,16 +715,20 @@ impl FilterTable {
         });
         of_peer.positions.push(pos);
         meta.slot = of_peer.slot;
-        let h = filter_hash(&e.filter);
-        index.dup.entry((e.peer, h)).or_default().push(pos);
-        match classify(&e.filter) {
-            Class::Eq(attr, key) => {
-                let aidx = attr_index(&mut index.attrs, attr);
+        match index.dup.entry((e.peer, e.filter.hash())) {
+            Entry::Vacant(slot) => {
+                slot.insert(pos);
+            }
+            Entry::Occupied(_) => index.collided.push(pos),
+        }
+        match e.filter.class() {
+            Class::Eq(key) => {
+                let aidx = attr_index(&mut index.attrs, e.filter.indexed_attr());
                 aidx.eq.entry(key).or_default().push(pos);
             }
-            Class::Interval(attr, lo, hi) => {
+            Class::Interval(lo, hi) => {
                 (meta.lo, meta.hi) = (lo, hi);
-                let aidx = attr_index(&mut index.attrs, attr);
+                let aidx = attr_index(&mut index.attrs, e.filter.indexed_attr());
                 aidx.intervals.push(pos);
                 if let Some(grid) = aidx.grid_to_update() {
                     grid.insert(pos, meta);
@@ -595,15 +746,15 @@ impl FilterTable {
         self.live_count -= 1;
         let e = &self.entries[pos as usize];
         let index = &mut self.index;
-        match classify(&e.filter) {
-            Class::Eq(attr, key) => {
-                let aidx = index.attrs.get_mut(attr);
+        match e.filter.class() {
+            Class::Eq(key) => {
+                let aidx = index.attrs.get_mut(e.filter.indexed_attr());
                 if let Some(pinned) = aidx.and_then(|a| a.eq.get_mut(&key)) {
                     unlink(pinned, pos);
                 }
             }
-            Class::Interval(attr, ..) => {
-                if let Some(aidx) = index.attrs.get_mut(attr) {
+            Class::Interval(..) => {
+                if let Some(aidx) = index.attrs.get_mut(e.filter.indexed_attr()) {
                     unlink(&mut aidx.intervals, pos);
                     if let Some(grid) = aidx.grid_to_update() {
                         grid.remove(pos, meta);
@@ -612,12 +763,11 @@ impl FilterTable {
             }
             Class::Scan => unlink(&mut index.scan, pos),
         }
-        let key = (e.peer, filter_hash(&e.filter));
-        if let Some(same) = index.dup.get_mut(&key) {
-            unlink(same, pos);
-            if same.is_empty() {
-                index.dup.remove(&key);
-            }
+        let key = (e.peer, e.filter.hash());
+        if index.dup.get(&key) == Some(&pos) {
+            index.dup.remove(&key);
+        } else {
+            unlink(&mut index.collided, pos);
         }
         if let Some(of_peer) = index.by_peer.get_mut(&e.peer) {
             unlink(&mut of_peer.positions, pos);
@@ -643,25 +793,48 @@ impl FilterTable {
         }
     }
 
-    /// The live position holding exactly `(peer, filter)`, if any.
-    fn position_of(&self, peer: Peer, filter: &Filter) -> Option<u32> {
-        let bucket = self.index.dup.get(&(peer, filter_hash(filter)))?;
-        bucket
-            .iter()
+    /// The live position of `peer`'s entry whose filter hashes to `hash`
+    /// and is `same`, if any. The duplicate map holds one position per key;
+    /// anything else with the key is on the collision list.
+    fn position_of(&self, peer: Peer, hash: u64, same: impl Fn(&FilterRef) -> bool) -> Option<u32> {
+        let hit = |p: &u32| {
+            let e = &self.entries[*p as usize];
+            e.peer == peer && e.filter.hash() == hash && same(&e.filter)
+        };
+        let first = self.index.dup.get(&(peer, hash)).filter(|p| hit(p));
+        first
+            .or_else(|| self.index.collided.iter().find(|p| hit(p)))
             .copied()
-            .find(|&p| self.meta[p as usize].live && &self.entries[p as usize].filter == filter)
+    }
+
+    /// [`position_of`](Self::position_of) a bare filter, hashed here.
+    fn position_of_filter(&self, peer: Peer, filter: &Filter) -> Option<u32> {
+        self.position_of(peer, filter_hash(filter), |f| f.filter() == filter)
     }
 
     /// Add an unlabeled entry. Duplicate `(peer, filter)` pairs are ignored
     /// (the table is a set).
     pub fn add(&mut self, peer: Peer, filter: Filter) -> bool {
-        self.add_labeled(peer, filter, None)
+        self.add_ref(peer, FilterRef::new(filter), None)
     }
 
     /// Add an entry with an accept-only-from label.
     /// Returns `true` when the entry was actually inserted.
     pub fn add_labeled(&mut self, peer: Peer, filter: Filter, label: Option<Peer>) -> bool {
-        if self.position_of(peer, &filter).is_some() {
+        self.add_ref(peer, FilterRef::new(filter), label)
+    }
+
+    /// Add an entry holding a (shared) filter record, with an optional
+    /// accept-only-from label — the one insertion path. Duplicate
+    /// `(peer, filter)` pairs are ignored (the table is a set). Reads the
+    /// record's cached hash and class, and allocates nothing per entry
+    /// beyond the amortized growth of the table's vectors and maps.
+    /// Returns `true` when the entry was actually inserted.
+    pub fn add_ref(&mut self, peer: Peer, filter: FilterRef, label: Option<Peer>) -> bool {
+        if self
+            .position_of(peer, filter.hash(), |f| *f == filter)
+            .is_some()
+        {
             return false;
         }
         self.maybe_compact();
@@ -679,14 +852,23 @@ impl FilterTable {
 
     /// Remove the `(peer, filter)` entry. Returns `true` when present.
     pub fn remove(&mut self, peer: Peer, filter: &Filter) -> bool {
-        match self.position_of(peer, filter) {
-            Some(pos) => {
-                self.kill(pos);
-                self.maybe_compact();
-                true
-            }
-            None => false,
-        }
+        let pos = self.position_of_filter(peer, filter);
+        self.remove_at(pos)
+    }
+
+    /// [`remove`](Self::remove) by record, on its cached hash.
+    pub fn remove_ref(&mut self, peer: Peer, filter: &FilterRef) -> bool {
+        let pos = self.position_of(peer, filter.hash(), |f| f == filter);
+        self.remove_at(pos)
+    }
+
+    fn remove_at(&mut self, pos: Option<u32>) -> bool {
+        let Some(pos) = pos else {
+            return false;
+        };
+        self.kill(pos);
+        self.maybe_compact();
+        true
     }
 
     /// Remove every entry for a peer, returning the removed filters.
@@ -700,7 +882,7 @@ impl FilterTable {
         let mut removed = Vec::with_capacity(positions.len());
         for pos in positions {
             if self.meta[pos as usize].live {
-                removed.push(self.entries[pos as usize].filter.clone());
+                removed.push(self.entries[pos as usize].filter.filter().clone());
                 self.kill(pos);
             }
         }
@@ -710,11 +892,11 @@ impl FilterTable {
 
     /// Whether the `(peer, filter)` entry exists.
     pub fn contains(&self, peer: Peer, filter: &Filter) -> bool {
-        self.position_of(peer, filter).is_some()
+        self.position_of_filter(peer, filter).is_some()
     }
 
     /// All filters registered for a peer.
-    pub fn filters_for(&self, peer: Peer) -> Vec<&Filter> {
+    pub fn filters_for(&self, peer: Peer) -> Vec<&FilterRef> {
         match self.index.by_peer.get(&peer) {
             Some(of_peer) => of_peer
                 .positions
@@ -729,7 +911,7 @@ impl FilterTable {
     /// Set (or clear) the accept-only-from label on an existing entry.
     /// Returns `true` when the entry was found.
     pub fn set_label(&mut self, peer: Peer, filter: &Filter, label: Option<Peer>) -> bool {
-        match self.position_of(peer, filter) {
+        match self.position_of_filter(peer, filter) {
             Some(pos) => {
                 self.entries[pos as usize].accept_only_from = label;
                 true
@@ -740,7 +922,7 @@ impl FilterTable {
 
     /// The current label of an entry (None when unlabeled or absent).
     pub fn label_of(&self, peer: Peer, filter: &Filter) -> Option<Peer> {
-        self.position_of(peer, filter)
+        self.position_of_filter(peer, filter)
             .and_then(|pos| self.entries[pos as usize].accept_only_from)
     }
 
@@ -907,13 +1089,14 @@ impl FilterTable {
                 .any(|e| !excluded.contains(&e.peer))
     }
 
-    /// Every distinct filter with at least one entry, in first-seen order.
-    pub fn distinct_filters(&self) -> Vec<Filter> {
-        let mut out: Vec<Filter> = Vec::new();
-        // Content hash → indices into `out`, confirmed by real equality.
+    /// Every distinct filter with at least one entry, in first-seen order
+    /// (the record of its first entry).
+    pub fn distinct_filters(&self) -> Vec<FilterRef> {
+        let mut out: Vec<FilterRef> = Vec::new();
+        // Cached content hash → indices into `out`, confirmed by equality.
         let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
         for e in self.entries() {
-            let same_hash = seen.entry(filter_hash(&e.filter)).or_default();
+            let same_hash = seen.entry(e.filter.hash()).or_default();
             if !same_hash.iter().any(|&i| out[i] == e.filter) {
                 same_hash.push(out.len());
                 out.push(e.filter.clone());
@@ -1532,6 +1715,38 @@ mod tests {
         assert!(grid.buckets.len() <= 16, "{} buckets", grid.buckets.len());
     }
 
+    /// Two entries of one peer whose different filters share a content hash
+    /// (a true collision): the second goes to the collision list, and both
+    /// stay findable, removable and matchable whichever leaves first.
+    #[test]
+    fn colliding_hashes_keep_both_entries_reachable() {
+        const H: u64 = 0x0bad_cafe;
+        let (a, b) = (FilterRef::with_hash(f(1), H), FilterRef::with_hash(f(2), H));
+        for first_out in [a.clone(), b.clone()] {
+            let mut t = FilterTable::new();
+            assert!(t.add_ref(C1, a.clone(), None));
+            assert!(t.add_ref(C1, b.clone(), None), "different content");
+            assert!(
+                !t.add_ref(C1, FilterRef::with_hash(f(1), H), None),
+                "a duplicate of a"
+            );
+            assert!(
+                !t.add_ref(C1, FilterRef::with_hash(f(2), H), None),
+                "a duplicate of b"
+            );
+            assert_eq!(t.matching_targets(&ev(2), B1), vec![C1]);
+            assert!(t.remove_ref(C1, &first_out));
+            assert!(!t.remove_ref(C1, &first_out));
+            let rest = if first_out == a { &b } else { &a };
+            assert!(!t.add_ref(C1, rest.clone(), None), "still there");
+            assert_eq!(t.len(), 1);
+            assert!(t.add_ref(C1, first_out.clone(), None), "back in");
+            assert!(t.remove_ref(C1, rest));
+            assert!(t.remove_ref(C1, &first_out));
+            assert!(t.is_empty());
+        }
+    }
+
     /// When the epoch counter wraps, the marks — epoch and first-match
     /// position together — start over, so a stamp of the previous cycle is
     /// not taken for one of the current call.
@@ -1592,7 +1807,7 @@ mod tests {
                     "related_to_other({q}) diverged"
                 );
             }
-            let mut distinct: Vec<Filter> = Vec::new();
+            let mut distinct: Vec<FilterRef> = Vec::new();
             for e in t.entries() {
                 if !distinct.contains(&e.filter) {
                     distinct.push(e.filter.clone());

@@ -57,7 +57,7 @@ pub use deployment::{ClientSpec, Deployment, DeploymentConfig, SimNode};
 pub use dynproto::{erase, BoxedMsg, DynProtocol, ErasedProtocol};
 pub use event::{Event, EventId};
 pub use filter::{Constraint, Filter, Op};
-pub use filter_table::{FilterEntry, FilterTable};
+pub use filter_table::{FilterEntry, FilterRef, FilterTable};
 pub use messages::{ClientAction, ConnectInfo, NetMsg, ProtocolMessage, RepairMsg};
 pub use queue::{EventQueue, PqId, QueueKind};
 pub use repair::{repair_drives, BrokerCheckpoint, RepairState};

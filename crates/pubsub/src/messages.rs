@@ -10,7 +10,7 @@ use mhh_simnet::{Message, TrafficClass};
 
 use crate::address::{BrokerId, ClientId};
 use crate::event::{Event, EventId};
-use crate::filter::Filter;
+use crate::filter_table::FilterRef;
 use crate::repair::BrokerCheckpoint;
 
 /// Trait implemented by a mobility protocol's message enum.
@@ -40,7 +40,7 @@ pub struct ConnectInfo {
     /// The connecting client.
     pub client: ClientId,
     /// The client's subscription filter.
-    pub filter: Filter,
+    pub filter: FilterRef,
     /// The client's home broker (used by the home-broker baseline).
     pub home_broker: BrokerId,
     /// The broker the client last visited, if any ("we require that each
@@ -125,7 +125,7 @@ pub enum RepairMsg<P> {
         /// The crashed broker being routed around, if any.
         dead: Option<BrokerId>,
         /// The filters the sender still needs events for.
-        filters: Vec<Filter>,
+        filters: Vec<FilterRef>,
     },
     /// An envelope for `dst` routed through a relay because the direct
     /// channel `src → dst` is partitioned. The relay forwards it; `dst`
@@ -204,7 +204,7 @@ pub enum NetMsg<P> {
     /// Subscription propagation along the overlay tree.
     SubPropagate {
         /// The propagated filter.
-        filter: Filter,
+        filter: FilterRef,
         /// True when the propagation was triggered by a handoff (counts as
         /// mobility overhead).
         mobility: bool,
@@ -212,7 +212,7 @@ pub enum NetMsg<P> {
     /// Unsubscription propagation along the overlay tree.
     UnsubPropagate {
         /// The withdrawn filter.
-        filter: Filter,
+        filter: FilterRef,
         /// True when triggered by a handoff.
         mobility: bool,
     },
@@ -368,7 +368,7 @@ impl ProtocolMessage for NoProtocolMsg {
 mod tests {
     use super::*;
     use crate::event::EventBuilder;
-    use crate::filter::Op;
+    use crate::filter::{Filter, Op};
 
     fn ev() -> Event {
         EventBuilder::new()
@@ -386,12 +386,12 @@ mod tests {
         let fwd: M = NetMsg::Forward(ev());
         assert_eq!(fwd.traffic_class(), TrafficClass::EventRouting);
         let sub: M = NetMsg::SubPropagate {
-            filter: Filter::single("group", Op::Eq, 1i64),
+            filter: Filter::single("group", Op::Eq, 1i64).into(),
             mobility: false,
         };
         assert_eq!(sub.traffic_class(), TrafficClass::Subscription);
         let sub_mob: M = NetMsg::SubPropagate {
-            filter: Filter::match_all(),
+            filter: FilterRef::default(),
             mobility: true,
         };
         assert_eq!(sub_mob.traffic_class(), TrafficClass::MobilityControl);
@@ -407,7 +407,7 @@ mod tests {
         let m: M = NetMsg::Publish(ev());
         assert_eq!(m.kind(), "publish");
         let m: M = NetMsg::UnsubPropagate {
-            filter: Filter::match_all(),
+            filter: FilterRef::default(),
             mobility: true,
         };
         assert_eq!(m.kind(), "unsub_propagate");

@@ -41,8 +41,7 @@ use mhh_simnet::{FaultSchedule, Network, NodeId, OutageScope, SimDuration, SimTi
 
 use crate::address::{AddressBook, BrokerId, ClientId, Peer};
 use crate::broker::{Broker, BrokerCore, BrokerCtx, MobilityProtocol};
-use crate::filter::Filter;
-use crate::filter_table::FilterTable;
+use crate::filter_table::{FilterRef, FilterTable};
 use crate::messages::{NetMsg, ProtocolMessage, RepairMsg};
 
 /// Per-broker repair bookkeeping, embedded in [`BrokerCore`].
@@ -52,7 +51,7 @@ pub struct RepairState {
     pub dead: BTreeSet<BrokerId>,
     /// Detour entries installed while a broker was dead:
     /// `dead → [(via, filter)]`, reverted on `PeerUp`.
-    pub detours: BTreeMap<BrokerId, Vec<(BrokerId, Filter)>>,
+    pub detours: BTreeMap<BrokerId, Vec<(BrokerId, FilterRef)>>,
     /// Partitioned peers and the relay to tunnel through:
     /// `unreachable → relay`. Shared with every [`BrokerCtx`] so all
     /// broker→broker sends are transparently tunneled.
@@ -72,14 +71,14 @@ pub struct BrokerCheckpoint {
     /// The filter table at checkpoint time.
     pub filters: FilterTable,
     /// Locally connected clients and their filters.
-    pub connected: BTreeMap<ClientId, Filter>,
+    pub connected: BTreeMap<ClientId, FilterRef>,
 }
 
 impl BrokerCheckpoint {
     /// Modeled on-disk size of the checkpoint: a 4-byte peer id plus the
-    /// filter's [`Filter::modeled_bytes`] per filter-table entry, and the
-    /// same per connected client. Pure accounting — restores never pay a
-    /// size-dependent latency.
+    /// filter's [`modeled_bytes`](crate::filter::Filter::modeled_bytes) per
+    /// filter-table entry, and the same per connected client. Pure
+    /// accounting — restores never pay a size-dependent latency.
     pub fn modeled_bytes(&self) -> u64 {
         let table: u64 = self
             .filters
@@ -119,7 +118,7 @@ impl BrokerCore {
 
     /// Every distinct filter this broker still has at least one entry for —
     /// the set of filters it must keep receiving matching events for.
-    pub fn needed_filters(&self) -> Vec<Filter> {
+    pub fn needed_filters(&self) -> Vec<FilterRef> {
         self.filters.distinct_filters()
     }
 
@@ -203,7 +202,7 @@ impl BrokerCore {
         &mut self,
         from: BrokerId,
         dead: Option<BrokerId>,
-        filters: Vec<Filter>,
+        filters: Vec<FilterRef>,
         ctx: &mut BrokerCtx<'_, P>,
     ) {
         match dead {
@@ -218,7 +217,7 @@ impl BrokerCore {
                 }
                 let mut fresh = Vec::new();
                 for f in filters {
-                    if self.filters.add(Peer::Broker(from), f.clone()) {
+                    if self.filters.add_ref(Peer::Broker(from), f.clone(), None) {
                         self.repair
                             .detours
                             .entry(d)
@@ -262,7 +261,7 @@ impl BrokerCore {
         }
         if let Some(detours) = self.repair.detours.remove(&peer) {
             for (via, f) in detours {
-                self.filters.remove(Peer::Broker(via), &f);
+                self.filters.remove_ref(Peer::Broker(via), &f);
             }
         }
         let needed = self.needed_filters();
@@ -316,7 +315,7 @@ impl<P: MobilityProtocol> Broker<P> {
                 let repair = std::mem::take(&mut self.core.repair);
                 for detours in repair.detours.into_values() {
                     for (via, f) in detours {
-                        self.core.filters.remove(Peer::Broker(via), &f);
+                        self.core.filters.remove_ref(Peer::Broker(via), &f);
                     }
                 }
                 self.core.repair = RepairState::default();
@@ -604,7 +603,7 @@ mod tests {
     use crate::broker::NoProtocol;
     use crate::deployment::{ClientSpec, Deployment, DeploymentConfig};
     use crate::event::EventBuilder;
-    use crate::filter::Op;
+    use crate::filter::{Filter, Op};
     use mhh_simnet::SimTime;
 
     fn filter(group: i64) -> Filter {
@@ -843,7 +842,7 @@ mod tests {
         let mut core = BrokerCore::new(BrokerId(4), book, network, true);
         core.filters.add(Peer::Client(ClientId(0)), filter(1));
         core.filters.add(Peer::Broker(BrokerId(1)), filter(2));
-        core.connected.insert(ClientId(0), filter(1));
+        core.connected.insert(ClientId(0), filter(1).into());
         let checkpoint = core.checkpoint();
 
         core.filters.remove(Peer::Client(ClientId(0)), &filter(1));
