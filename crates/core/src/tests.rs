@@ -5,11 +5,13 @@
 //! paper's delivery guarantees (exactly-once, per-publisher order, no loss)
 //! plus structural properties of the handoff.
 
+use std::collections::HashMap;
+
 use mhh_pubsub::delivery::{audit, SubscriberLog};
 use mhh_pubsub::event::EventBuilder;
 use mhh_pubsub::{
-    BrokerId, ClientAction, ClientId, ClientSpec, Deployment, DeploymentConfig, Event, Filter, Op,
-    Peer,
+    BrokerId, ClientAction, ClientId, ClientSpec, Deployment, DeploymentConfig, Event, EventId,
+    Filter, Op, Peer,
 };
 use mhh_simnet::{SimTime, TrafficClass};
 
@@ -171,8 +173,15 @@ fn events_during_disconnection_are_stored_then_delivered_in_order() {
     assert!(audit.is_reliable(), "audit: {audit:?}");
     let mobile = dep.client(ClientId(0));
     assert_eq!(mobile.received.len(), 30, "all stored events delivered");
-    // Order: per-publisher sequence strictly increasing.
-    let seqs: Vec<u64> = mobile.received.iter().map(|r| r.seq).collect();
+    // Order: per-publisher sequence strictly increasing. A delivery names
+    // its event; the publisher's log holds the event's sequence number.
+    let seq_of: HashMap<EventId, u64> = dep
+        .client(ClientId(1))
+        .published
+        .iter()
+        .map(|e| (e.id, e.seq))
+        .collect();
+    let seqs: Vec<u64> = mobile.received.iter().map(|r| seq_of[&r.event]).collect();
     let mut sorted = seqs.clone();
     sorted.sort_unstable();
     assert_eq!(seqs, sorted);

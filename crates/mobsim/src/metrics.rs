@@ -14,7 +14,9 @@
 //! of the delivery audit's single event-major classification
 //! ([`mhh_pubsub::classify`] — O(published × matches + deliveries), one
 //! dense state array of working memory). [`HandoverLedger::from_outcomes`]
-//! adds the disruption-window attribution and the `buffered` catch-ups,
+//! adds the disruption-window attribution and the `buffered` catch-ups
+//! (dating each delivery's event through the classification, since a
+//! delivery record holds only its arrival time and event id),
 //! [`RecoveryLedger::from_outcomes`] the outage-window attribution and the
 //! time-to-repair; the runner classifies once and feeds the audit and both,
 //! which is also why their totals reconcile exactly. The `assemble` entry
@@ -22,7 +24,8 @@
 
 use mhh_pubsub::client::{DeliveryRecord, DisconnectRecord, ReconnectRecord};
 use mhh_pubsub::{
-    classify, ClientId, DeliveryAudit, Event, EventId, Filter, SubscriberLog, SubscriberOutcome,
+    classify, Classification, ClientId, DeliveryAudit, Event, EventId, Filter, SubscriberLog,
+    SubscriberOutcome,
 };
 use mhh_simnet::{DropCause, DropRecord, OutageWindow, SimTime};
 
@@ -120,7 +123,7 @@ pub(crate) fn classify_clients<'e>(
     published: impl IntoIterator<Item = &'e Event>,
     clients: &[ClientHandoverLog<'_>],
     pending: &[(ClientId, EventId)],
-) -> Vec<SubscriberOutcome> {
+) -> Classification {
     let logs: Vec<SubscriberLog<'_>> = clients.iter().map(|log| log.as_subscriber()).collect();
     classify(published, &logs, pending)
 }
@@ -166,12 +169,14 @@ impl HandoverLedger {
     }
 
     /// [`assemble`](Self::assemble) over logs already classified:
-    /// `outcomes[i]` is [`classify`]'s outcome for `clients[i]`. Only the
-    /// window attribution happens here.
+    /// `classified.outcomes[i]` is [`classify`]'s outcome for `clients[i]`.
+    /// Only the window attribution happens here; a delivery's publication
+    /// time comes from the classification's published events.
     pub fn from_outcomes(
         clients: &[ClientHandoverLog<'_>],
-        outcomes: &[SubscriberOutcome],
+        classified: &Classification,
     ) -> HandoverLedger {
+        let outcomes = &classified.outcomes;
         assert_eq!(clients.len(), outcomes.len(), "one outcome per client");
         let mut records = Vec::new();
         for (log, outcome) in clients.iter().zip(outcomes) {
@@ -224,7 +229,11 @@ impl HandoverLedger {
                 let w = &mut windows[window_of(d.at)];
                 if repeats.next_if_eq(&position).is_some() {
                     w.duplicates += 1;
-                } else if d.at >= w.arrived && d.published_at < w.arrived {
+                } else if d.at >= w.arrived
+                    && classified
+                        .published_at(d.event)
+                        .is_some_and(|published| published < w.arrived)
+                {
                     w.buffered += 1;
                 }
             }
@@ -465,8 +474,8 @@ impl RecoveryLedger {
         if windows.is_empty() && drops.is_empty() {
             return RecoveryLedger::default();
         }
-        let outcomes = classify_clients(published, clients, pending);
-        Self::from_outcomes(windows, drops, clients, &outcomes)
+        let classified = classify_clients(published, clients, pending);
+        Self::from_outcomes(windows, drops, clients, &classified.outcomes)
     }
 
     /// [`assemble`](Self::assemble) over logs already classified:
@@ -966,19 +975,11 @@ mod tests {
         // (duplicate, in window 1); event 3 delivered promptly; event 4
         // never delivered and not pending -> lost, in window 1. Event 1 was
         // delivered live before the first disconnect.
-        let mk = |id: u64, pub_ms: u64, at_ms: u64| DeliveryRecord {
+        let mk = |id: u64, at_ms: u64| DeliveryRecord {
             at: SimTime::from_millis(at_ms),
             event: EventId(id),
-            publisher: ClientId(9),
-            seq: id,
-            published_at: SimTime::from_millis(pub_ms),
         };
-        let deliveries = vec![
-            mk(1, 50, 80),
-            mk(2, 150, 350),
-            mk(3, 1_150, 1_320),
-            mk(2, 150, 1_400),
-        ];
+        let deliveries = vec![mk(1, 80), mk(2, 350), mk(3, 1_320), mk(2, 1_400)];
         let logs = [ClientHandoverLog {
             client: ClientId(0),
             filter: &filter,
@@ -1057,19 +1058,11 @@ mod tests {
             ev(5, 150),
             ev(6, 150),
         ];
-        let mk = |id: u64, pub_ms: u64, at_ms: u64| DeliveryRecord {
+        let mk = |id: u64, at_ms: u64| DeliveryRecord {
             at: SimTime::from_millis(at_ms),
             event: EventId(id),
-            publisher: ClientId(9),
-            seq: id,
-            published_at: SimTime::from_millis(pub_ms),
         };
-        let deliveries = vec![
-            mk(1, 150, 250),
-            mk(1, 150, 280),
-            mk(4, 50, 350),
-            mk(1, 150, 650),
-        ];
+        let deliveries = vec![mk(1, 250), mk(1, 280), mk(4, 350), mk(1, 650)];
         let logs = [ClientHandoverLog {
             client: ClientId(0),
             filter: &filter,

@@ -1,8 +1,11 @@
 //! Test-only reference accounting: the subscriber-major, set-based delivery
 //! audit and ledger assembly the one-pass classification
-//! ([`mhh_pubsub::classify`]) replaced, kept verbatim as the oracle the new
-//! pass is compared against — over seeded random logs here, and over whole
-//! runs in the runner's tests.
+//! ([`mhh_pubsub::classify`]) replaced, kept as the oracle the new pass is
+//! compared against — over seeded random logs here, and over whole runs in
+//! the runner's tests. A delivery record names only its event, so the oracle
+//! reads each event's publisher, sequence number and publication time from
+//! the published events (the last publication of an id wins), through
+//! ordered maps of its own.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,6 +41,10 @@ pub(crate) fn audit(
     buffered: &[(ClientId, EventId)],
 ) -> DeliveryAudit {
     let buffered_by_client = by_client(buffered);
+    let origin: BTreeMap<EventId, (ClientId, u64)> = published
+        .iter()
+        .map(|e| (e.id, (e.publisher, e.seq)))
+        .collect();
     let mut result = DeliveryAudit::default();
     for sub in clients {
         let expected = expected_of(published, sub);
@@ -67,12 +74,17 @@ pub(crate) fn audit(
             if !dup_guard.insert(d.event) {
                 continue;
             }
-            if let Some(&prev) = last_seq.get(&d.publisher) {
-                if d.seq <= prev {
+            // An id never published has no publisher to be out of order
+            // against.
+            let Some(&(publisher, seq)) = origin.get(&d.event) else {
+                continue;
+            };
+            if let Some(&prev) = last_seq.get(&publisher) {
+                if seq <= prev {
                     result.out_of_order += 1;
                 }
             }
-            last_seq.insert(d.publisher, d.seq);
+            last_seq.insert(publisher, seq);
         }
     }
     result
@@ -127,7 +139,7 @@ pub(crate) fn handover_ledger(
         for d in log.deliveries {
             if seen.insert(d.event) {
                 let w = &mut windows[window_of(d.at)];
-                if d.at >= w.arrived && d.published_at < w.arrived {
+                if d.at >= w.arrived && publish_time.get(&d.event).is_some_and(|&p| p < w.arrived) {
                     w.buffered += 1;
                 }
             } else {
@@ -328,13 +340,6 @@ mod tests {
                         picks.push(DeliveryRecord {
                             at: SimTime::ZERO,
                             event: e.id,
-                            publisher: if rng.chance(0.9) {
-                                e.publisher
-                            } else {
-                                publisher(rng)
-                            },
-                            seq: e.seq,
-                            published_at: e.published_at,
                         });
                     }
                 }
@@ -342,9 +347,6 @@ mod tests {
                     picks.push(DeliveryRecord {
                         at: SimTime::ZERO,
                         event: EventId(900 + rng.index(3) as u64),
-                        publisher: publisher(rng),
-                        seq: rng.index(5) as u64,
-                        published_at: ms(rng, 1_000),
                     });
                 }
                 rng.shuffle(&mut picks);

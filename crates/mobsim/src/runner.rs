@@ -206,18 +206,18 @@ fn collect(
             deliveries: &c.received,
         })
         .collect();
-    let outcomes = classify_clients(
+    let classified = classify_clients(
         dep.clients().flat_map(|c| &c.published),
         &handover_logs,
         &buffered,
     );
-    let audit_result = DeliveryAudit::from_outcomes(&outcomes);
-    let ledger = HandoverLedger::from_outcomes(&handover_logs, &outcomes);
+    let audit_result = DeliveryAudit::from_outcomes(&classified.outcomes);
+    let ledger = HandoverLedger::from_outcomes(&handover_logs, &classified);
     let mut recovery = RecoveryLedger::from_outcomes(
         faults.windows(),
         dep.engine.drops(),
         &handover_logs,
-        &outcomes,
+        &classified.outcomes,
     );
     // Reliability-layer counters live in the brokers/clients, not the drop
     // log; all zero (and Debug-invisible) unless the knobs were turned on.

@@ -11,6 +11,13 @@
 //! with the time of the first event received afterwards — the paper's
 //! *handoff delay* ("the period from a client's reconnection time to the
 //! time it receives the first event").
+//!
+//! A delivery is logged as a 16-byte [`DeliveryRecord`]: arrival time and
+//! event id, nothing else. The event's publisher, sequence number and
+//! publication time are not repeated per delivery — the publisher's own
+//! `published` log holds each event once, and the delivery audit
+//! ([`classify`](crate::delivery::classify)) reads all three from there by
+//! the id.
 
 use std::collections::BTreeMap;
 
@@ -33,19 +40,15 @@ pub const RETRY_BASE: SimDuration = SimDuration::from_millis(RETRY_BASE_MS);
 /// surfaces in the delivery audit instead of retrying forever).
 pub const MAX_PUBLISH_RETRIES: u32 = 5;
 
-/// One delivered event as seen by a client.
+/// One delivered event as seen by a client: when, and which event. The
+/// event's publisher, sequence number and publication time live in the
+/// publisher's [`published`](ClientNode::published) log, once per event.
 #[derive(Debug, Clone)]
 pub struct DeliveryRecord {
     /// Delivery time at the client.
     pub at: SimTime,
     /// The delivered event id.
     pub event: EventId,
-    /// Publisher of the event.
-    pub publisher: ClientId,
-    /// Per-publisher sequence number.
-    pub seq: u64,
-    /// Publication time (for latency analysis).
-    pub published_at: SimTime,
 }
 
 /// One disconnection of a mobile client — the opening half of a handover.
@@ -310,9 +313,6 @@ impl<P: ProtocolMessage> Node<NetMsg<P>> for ClientNode {
                 let record = DeliveryRecord {
                     at: ctx.now(),
                     event: event.id,
-                    publisher: event.publisher,
-                    seq: event.seq,
-                    published_at: event.published_at,
                 };
                 if let Some(last) = self.reconnects.last_mut() {
                     if last.first_delivery.is_none() {
@@ -398,6 +398,13 @@ mod tests {
         EventBuilder::new()
             .attr("group", 1i64)
             .build(id, ClientId(0), id)
+    }
+
+    #[test]
+    fn a_delivery_record_is_sixteen_bytes() {
+        // Every client keeps one per delivery until the run is audited, so
+        // on the storm workloads these records are most of the peak memory.
+        assert_eq!(std::mem::size_of::<DeliveryRecord>(), 16);
     }
 
     #[test]

@@ -27,10 +27,22 @@
 //! working memory is that one state array plus the matched event indices —
 //! where a subscriber-major audit evaluated every (subscriber, event) pair
 //! and pushed every delivery through ordered sets.
+//!
+//! # What a delivery log holds
+//!
+//! A [`DeliveryRecord`] is only *when* and *which event*: 16 bytes. The
+//! event's publisher, sequence number and publication time are properties of
+//! the event, kept once in the publishers' `published` logs; the pass interns
+//! those events into a dense origin array and reads all three from it, one
+//! id lookup per delivery (multiply-mix hashed, as the engine's link keys).
+//! The [`Classification`] it returns keeps that array, so a ledger that dates
+//! a delivery by its publication reads it from there. A delivered id that was
+//! never published has no origin: it can be a duplicate, never out of order.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 
+use mhh_simnet::clocks::LinkKeyHasher;
 use mhh_simnet::SimTime;
 
 use crate::address::{BrokerId, ClientId, Peer};
@@ -154,18 +166,23 @@ impl EventState {
     }
 }
 
-/// Dense slots for the publishers named by events and logs, each holding
-/// the last sequence number first-delivered to the subscriber being
-/// classified, stamped with that subscriber's epoch like [`EventState`].
+/// Dense indices keyed by a single `u64` (an [`EventId`], a publisher's id
+/// widened), hashed by one multiply-mix finalisation instead of SipHash.
+/// Nothing assumes the keys are dense.
+type DenseIndex<K> = HashMap<K, u32, BuildHasherDefault<LinkKeyHasher>>;
+
+/// Dense slots for the publishers of the published events, each holding the
+/// last sequence number first-delivered to the subscriber being classified,
+/// stamped with that subscriber's epoch like [`EventState`].
 #[derive(Default)]
 struct PublisherSlots {
-    slots: HashMap<ClientId, u32>,
+    slots: DenseIndex<u64>,
     last_seq: Vec<(u32, u64)>,
 }
 
 impl PublisherSlots {
     fn slot(&mut self, publisher: ClientId) -> u32 {
-        let (slot, new) = intern(&mut self.slots, publisher);
+        let (slot, new) = intern(&mut self.slots, u64::from(publisher.0));
         if new {
             self.last_seq.push((0, 0));
         }
@@ -175,24 +192,54 @@ impl PublisherSlots {
 
 /// The dense index of `key` — the next unused one when the key is new, which
 /// the flag reports so the caller can grow what the index addresses.
-fn intern<K: Eq + Hash>(dense: &mut HashMap<K, u32>, key: K) -> (u32, bool) {
+fn intern<K: Eq + Hash>(dense: &mut DenseIndex<K>, key: K) -> (u32, bool) {
     let next = dense.len() as u32;
     let index = *dense.entry(key).or_insert(next);
     (index, index == next)
+}
+
+/// What a delivery log does not repeat about a published event.
+#[derive(Debug, Clone, Copy)]
+struct Origin {
+    published_at: SimTime,
+    seq: u64,
+    /// The publisher's [`PublisherSlots`] slot.
+    publisher: u32,
+}
+
+/// [`classify`]'s result: one outcome per subscriber, and the published
+/// events it interned, which date a delivery by its publication.
+#[derive(Debug)]
+pub struct Classification {
+    /// One outcome per entry of `subscribers`, in the same order.
+    pub outcomes: Vec<SubscriberOutcome>,
+    /// Dense index of every id published or delivered; the published ones
+    /// come first, so only they have an [`Origin`].
+    dense: DenseIndex<EventId>,
+    origin: Vec<Origin>,
+}
+
+impl Classification {
+    /// Publication time of the event `id` (of its last publication, when
+    /// the id was published twice); `None` when it was never published.
+    pub fn published_at(&self, id: EventId) -> Option<SimTime> {
+        let &index = self.dense.get(&id)?;
+        self.origin.get(index as usize).map(|o| o.published_at)
+    }
 }
 
 /// Classify a run: one [`SubscriberOutcome`] per entry of `subscribers`, in
 /// the same order. Arguments as for [`audit`]; `published` may be any
 /// iterator of events, so the caller can chain the publishers' own logs
 /// instead of copying them into one slice. An id occurring twice in
-/// `published` is one event (expected when any occurrence matches, published
-/// when the last one was); a delivered id that was never published can only
-/// be a duplicate or out of order.
+/// `published` is one event (expected when any occurrence matches, with the
+/// publisher, sequence number and publication time of the last one); a
+/// delivered id that was never published can only be a duplicate.
 pub fn classify<'e>(
     published: impl IntoIterator<Item = &'e Event>,
     subscribers: &[SubscriberLog<'_>],
     buffered: &[(ClientId, EventId)],
-) -> Vec<SubscriberOutcome> {
+) -> Classification {
     assert!(
         subscribers.len() < (1 << (32 - EPOCH_SHIFT)),
         "the state words keep the subscriber epoch above the flag bits"
@@ -208,18 +255,17 @@ pub fn classify<'e>(
 
     // Event-major: match each published event once, handing its dense index
     // to every subscriber that expects it.
-    let mut dense: HashMap<EventId, u32> = HashMap::new();
+    let mut dense = DenseIndex::default();
     let mut publishers = PublisherSlots::default();
-    // Per dense index: publication time, publisher and the publisher's slot.
-    let mut origin: Vec<(SimTime, ClientId, u32)> = Vec::new();
+    let mut origin: Vec<Origin> = Vec::new();
     let mut expected: Vec<Vec<u32>> = vec![Vec::new(); subscribers.len()];
     for event in published {
         let (index, new) = intern(&mut dense, event.id);
-        let of_event = (
-            event.published_at,
-            event.publisher,
-            publishers.slot(event.publisher),
-        );
+        let of_event = Origin {
+            published_at: event.published_at,
+            seq: event.seq,
+            publisher: publishers.slot(event.publisher),
+        };
         if new {
             origin.push(of_event);
         } else {
@@ -282,18 +328,16 @@ pub fn classify<'e>(
             outcome.delivered += u64::from(flags & EXPECTED != 0);
             // Per-publisher ordering: the sequence numbers first-delivered
             // from one publisher must be strictly increasing in log order.
-            // The log names the publisher itself; when it agrees with the
-            // published event, as it does in every real run, the slot is
-            // already known.
-            let publisher = match origin.get(event as usize) {
-                Some(&(_, publisher, slot)) if publisher == d.publisher => slot,
-                _ => publishers.slot(d.publisher),
+            // An id never published has no publisher to be out of order
+            // against.
+            let Some(of_event) = origin.get(event as usize) else {
+                continue;
             };
-            let last = &mut publishers.last_seq[publisher as usize];
-            if last.0 == state.epoch && d.seq <= last.1 {
+            let last = &mut publishers.last_seq[of_event.publisher as usize];
+            if last.0 == state.epoch && of_event.seq <= last.1 {
                 outcome.out_of_order += 1;
             }
-            *last = (state.epoch, d.seq);
+            *last = (state.epoch, of_event.seq);
         }
 
         for &event in &mine {
@@ -304,12 +348,18 @@ pub fn classify<'e>(
             if flags & BUFFERED != 0 {
                 outcome.pending += 1;
             } else {
-                outcome.lost_published_at.push(origin[event as usize].0);
+                outcome
+                    .lost_published_at
+                    .push(origin[event as usize].published_at);
             }
         }
         outcomes.push(outcome);
     }
-    outcomes
+    Classification {
+        outcomes,
+        dense,
+        origin,
+    }
 }
 
 /// Audit a run.
@@ -323,7 +373,7 @@ pub fn audit(
     subscribers: &[SubscriberLog<'_>],
     buffered: &[(ClientId, EventId)],
 ) -> DeliveryAudit {
-    DeliveryAudit::from_outcomes(&classify(published, subscribers, buffered))
+    DeliveryAudit::from_outcomes(&classify(published, subscribers, buffered).outcomes)
 }
 
 #[cfg(test)]
@@ -338,13 +388,10 @@ mod tests {
             .build(id, ClientId(publisher), seq)
     }
 
-    fn delivery(id: u64, publisher: u32, seq: u64, at_ms: u64) -> DeliveryRecord {
+    fn delivery(id: u64, at_ms: u64) -> DeliveryRecord {
         DeliveryRecord {
             at: SimTime::from_millis(at_ms),
             event: EventId(id),
-            publisher: ClientId(publisher),
-            seq,
-            published_at: SimTime::ZERO,
         }
     }
 
@@ -352,7 +399,7 @@ mod tests {
     fn perfect_run_is_reliable() {
         let published = vec![ev(1, 9, 0, 1), ev(2, 9, 1, 1), ev(3, 9, 2, 2)];
         let filter = Filter::single("group", Op::Eq, 1i64);
-        let deliveries = vec![delivery(1, 9, 0, 10), delivery(2, 9, 1, 20)];
+        let deliveries = vec![delivery(1, 10), delivery(2, 20)];
         let subs = [SubscriberLog {
             client: ClientId(0),
             filter: &filter,
@@ -369,7 +416,7 @@ mod tests {
     fn missing_event_is_lost_unless_buffered() {
         let published = vec![ev(1, 9, 0, 1), ev(2, 9, 1, 1)];
         let filter = Filter::single("group", Op::Eq, 1i64);
-        let deliveries = vec![delivery(1, 9, 0, 10)];
+        let deliveries = vec![delivery(1, 10)];
         let subs = [SubscriberLog {
             client: ClientId(0),
             filter: &filter,
@@ -390,7 +437,7 @@ mod tests {
     fn duplicates_are_counted() {
         let published = vec![ev(1, 9, 0, 1)];
         let filter = Filter::single("group", Op::Eq, 1i64);
-        let deliveries = vec![delivery(1, 9, 0, 10), delivery(1, 9, 0, 20)];
+        let deliveries = vec![delivery(1, 10), delivery(1, 20)];
         let subs = [SubscriberLog {
             client: ClientId(0),
             filter: &filter,
@@ -407,11 +454,7 @@ mod tests {
         let published = vec![ev(1, 9, 0, 1), ev(2, 9, 1, 1), ev(3, 7, 0, 1)];
         let filter = Filter::single("group", Op::Eq, 1i64);
         // Publisher 9's events delivered in reverse order; publisher 7 fine.
-        let deliveries = vec![
-            delivery(2, 9, 1, 10),
-            delivery(1, 9, 0, 20),
-            delivery(3, 7, 0, 30),
-        ];
+        let deliveries = vec![delivery(2, 10), delivery(1, 20), delivery(3, 30)];
         let subs = [SubscriberLog {
             client: ClientId(0),
             filter: &filter,
@@ -433,10 +476,10 @@ mod tests {
         ];
         let filter = Filter::single("group", Op::Eq, 1i64);
         let deliveries = vec![
-            delivery(1, 9, 0, 10),
-            delivery(1, 9, 0, 20),
-            delivery(7, 9, 9, 30),
-            delivery(1, 9, 0, 40),
+            delivery(1, 10),
+            delivery(1, 20),
+            delivery(7, 30),
+            delivery(1, 40),
         ];
         let quiet = Filter::single("group", Op::Eq, 2i64);
         let subs = [
@@ -451,7 +494,7 @@ mod tests {
                 deliveries: &[],
             },
         ];
-        let outcomes = classify(&published, &subs, &[(ClientId(0), EventId(3))]);
+        let outcomes = classify(&published, &subs, &[(ClientId(0), EventId(3))]).outcomes;
         assert_eq!(
             outcomes[0],
             SubscriberOutcome {
@@ -468,6 +511,41 @@ mod tests {
             DeliveryAudit::from_outcomes(&outcomes),
             audit(&published, &subs, &[(ClientId(0), EventId(3))])
         );
+    }
+
+    #[test]
+    fn unpublished_ids_repeat_but_are_never_out_of_order() {
+        let at = SimTime::from_millis;
+        let published = vec![ev(1, 9, 5, 1).stamped(at(5)), ev(2, 9, 6, 1).stamped(at(6))];
+        let filter = Filter::single("group", Op::Eq, 1i64);
+        // Id 8 was never published: its first copy is neither expected nor
+        // ordered against publisher 9, its second is a duplicate.
+        let deliveries = vec![
+            delivery(8, 10),
+            delivery(2, 20),
+            delivery(8, 30),
+            delivery(1, 40),
+        ];
+        let subs = [SubscriberLog {
+            client: ClientId(0),
+            filter: &filter,
+            deliveries: &deliveries,
+        }];
+        let classified = classify(&published, &subs, &[]);
+        assert_eq!(
+            classified.outcomes[0],
+            SubscriberOutcome {
+                expected: 2,
+                delivered: 2,
+                pending: 0,
+                out_of_order: 1,
+                duplicates: vec![2],
+                lost_published_at: vec![],
+            }
+        );
+        assert_eq!(classified.published_at(EventId(2)), Some(at(6)));
+        assert_eq!(classified.published_at(EventId(8)), None);
+        assert_eq!(classified.published_at(EventId(3)), None);
     }
 
     #[test]

@@ -871,23 +871,34 @@ impl FilterTable {
         true
     }
 
-    /// Remove every entry for a peer, returning the removed filters.
+    /// Remove every entry for a peer, returning copies of the removed
+    /// filters (collected first, then the entries cleared as the repair
+    /// path clears them, copying nothing).
     pub fn remove_peer(&mut self, peer: Peer) -> Vec<Filter> {
+        let removed = self
+            .filters_for(peer)
+            .into_iter()
+            .map(|f| f.filter().clone())
+            .collect();
+        self.clear_peer(peer);
+        removed
+    }
+
+    /// Remove every entry for a peer, copying and allocating nothing per
+    /// entry — what a broker does when a neighbour is declared dead.
+    pub(crate) fn clear_peer(&mut self, peer: Peer) {
         // Taking the list (the slot stays) also spares `kill` its per-entry
         // unlinking from it.
         let positions = match self.index.by_peer.get_mut(&peer) {
             Some(of_peer) => std::mem::take(&mut of_peer.positions),
-            None => return Vec::new(),
+            None => return,
         };
-        let mut removed = Vec::with_capacity(positions.len());
         for pos in positions {
             if self.meta[pos as usize].live {
-                removed.push(self.entries[pos as usize].filter.filter().clone());
                 self.kill(pos);
             }
         }
         self.maybe_compact();
-        removed
     }
 
     /// Whether the `(peer, filter)` entry exists.

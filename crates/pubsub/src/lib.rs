@@ -52,7 +52,9 @@ pub mod wire;
 pub use address::{AddressBook, BrokerId, ClientId, Peer};
 pub use broker::{Broker, BrokerCore, BrokerCtx, MobilityProtocol};
 pub use client::{ClientNode, DeliveryRecord, DisconnectRecord, ReconnectRecord};
-pub use delivery::{audit, classify, DeliveryAudit, SubscriberLog, SubscriberOutcome};
+pub use delivery::{
+    audit, classify, Classification, DeliveryAudit, SubscriberLog, SubscriberOutcome,
+};
 pub use deployment::{ClientSpec, Deployment, DeploymentConfig, SimNode};
 pub use dynproto::{erase, BoxedMsg, DynProtocol, ErasedProtocol};
 pub use event::{Event, EventId};

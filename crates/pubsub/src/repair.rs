@@ -157,7 +157,7 @@ impl BrokerCore {
         if !self.repair.dead.insert(dead) {
             return;
         }
-        self.filters.remove_peer(Peer::Broker(dead));
+        self.filters.clear_peer(Peer::Broker(dead));
         let needed = self.needed_filters();
         if needed.is_empty() {
             return;

@@ -62,10 +62,12 @@ struct LinkState {
 /// saved. One shared [`mix64`](crate::random) finalization over a single
 /// `u64` is plenty for dense node-id pairs.
 ///
-/// Only [`write_u64`](Hasher::write_u64) is ever reached: the sole key type
-/// is the packed `u64` from [`pack_pair`], whose `Hasher` path is exactly
-/// one `write_u64` call. The byte-oriented [`write`](Hasher::write)
-/// fallback below is therefore unreachable by construction — it exists so
+/// Only [`write_u64`](Hasher::write_u64) is ever reached: the key types are
+/// the packed `u64` from [`pack_pair`] here and, in the delivery audit, an
+/// event id or a widened publisher id — each a single `u64`, whose `Hasher`
+/// path is exactly one `write_u64` call. The byte-oriented
+/// [`write`](Hasher::write) fallback below is therefore unreachable by
+/// construction — it exists so
 /// the type still satisfies the `Hasher` contract, and it `debug_assert!`s
 /// so that a future non-`u64` key is caught in tests instead of silently
 /// taking the weak FNV byte path (64-bit FNV prime over a zero offset

@@ -6,11 +6,13 @@
 //!
 //! Run with: `cargo run --release --example fleet_tracking`
 
+use std::collections::HashMap;
+
 use mhh_suite::mhh::Mhh;
 use mhh_suite::mobsim::Sim;
 use mhh_suite::pubsub::event::EventBuilder;
 use mhh_suite::pubsub::{
-    BrokerId, ClientAction, ClientId, ClientSpec, Deployment, DeploymentConfig, Filter, Op,
+    BrokerId, ClientAction, ClientId, ClientSpec, Deployment, DeploymentConfig, EventId, Filter, Op,
 };
 use mhh_suite::simnet::random::DetRng;
 use mhh_suite::simnet::SimTime;
@@ -80,10 +82,18 @@ fn main() {
 
     println!("=== fleet tracking: 36 cells, {vans} vans, 400 orders ===");
     let mut total_handoffs = 0usize;
+    // A delivery names its event; the dispatch centre's log holds the
+    // order's sequence number.
+    let seq_of: HashMap<EventId, u64> = dep
+        .client(dispatch)
+        .published
+        .iter()
+        .map(|e| (e.id, e.seq))
+        .collect();
     for van in 0..vans as u32 {
         let c = dep.client(ClientId(van));
         total_handoffs += c.handoff_count();
-        let seqs: Vec<u64> = c.received.iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = c.received.iter().map(|r| seq_of[&r.event]).collect();
         let ordered = seqs.windows(2).all(|w| w[0] < w[1]);
         println!(
             "van {van}: {:3} orders received, {} handoffs, ordered = {}",
