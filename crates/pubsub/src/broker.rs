@@ -316,7 +316,7 @@ pub struct BrokerCore {
     /// Whether the covering optimisation is applied to subscription
     /// propagation.
     pub covering_enabled: bool,
-    /// Overlay-repair bookkeeping (dead peers, detours, partition tunnels).
+    /// Overlay-repair bookkeeping (dead peers, partition tunnels, replicas).
     pub repair: RepairState,
     /// How event fan-out materializes wire forms (serialize-once cached
     /// vs. clone-per-subscriber baseline). Only observable through byte

@@ -96,7 +96,8 @@ pub enum RepairMsg<P> {
         /// The crashed broker.
         peer: BrokerId,
     },
-    /// A previously crashed tree neighbor restarted: revert the detours.
+    /// A previously crashed tree neighbor restarted: drop the detours
+    /// routed around it.
     PeerUp {
         /// The restarted broker.
         peer: BrokerId,

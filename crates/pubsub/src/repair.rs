@@ -13,8 +13,11 @@
 //!   other neighbors, which route via the hub. The detour overlay is thus a
 //!   star centred on the hub — a tree — so reverse-path-forwarding's
 //!   from-exclusion keeps detoured events loop-free whatever the dead
-//!   broker's tree degree. When the broker restarts, the detours are
-//!   reverted and both sides resync.
+//!   broker's tree degree. Every broker-peer entry points at a tree
+//!   neighbour except a detour, which is two tree hops away, so the tree
+//!   alone names the detours: `PeerUp` drops those around the restarted
+//!   broker and both sides resync, and a restart or replica restore drops
+//!   all of them.
 //! * **partition tunneling** — a severed broker↔broker channel (both ends
 //!   alive) is bridged by wrapping every envelope for the unreachable peer in
 //!   a [`RepairMsg::Tunnel`] through a relay broker; the destination unwraps
@@ -49,9 +52,6 @@ use crate::messages::{NetMsg, ProtocolMessage, RepairMsg};
 pub struct RepairState {
     /// Tree neighbors currently believed crashed.
     pub dead: BTreeSet<BrokerId>,
-    /// Detour entries installed while a broker was dead:
-    /// `dead → [(via, filter)]`, reverted on `PeerUp`.
-    pub detours: BTreeMap<BrokerId, Vec<(BrokerId, FilterRef)>>,
     /// Partitioned peers and the relay to tunnel through:
     /// `unreachable → relay`. Shared with every [`BrokerCtx`] so all
     /// broker→broker sends are transparently tunneled.
@@ -66,7 +66,7 @@ pub struct RepairState {
 /// The durable state a broker reloads after a restart (the "synchronous
 /// checkpointing" model: the filter table and client attachments survive,
 /// soft protocol state, timers and in-flight messages do not).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BrokerCheckpoint {
     /// The filter table at checkpoint time.
     pub filters: FilterTable,
@@ -99,11 +99,32 @@ impl BrokerCore {
         }
     }
 
-    /// Reload durable state from a checkpoint (everything else — repair
-    /// bookkeeping, protocol soft state — is the caller's to reset).
+    /// Reload durable state from a checkpoint, less its detours (repair
+    /// bookkeeping and protocol soft state are the caller's to reset).
     pub fn restore(&mut self, checkpoint: BrokerCheckpoint) {
         self.filters = checkpoint.filters;
         self.connected = checkpoint.connected;
+        self.drop_detours(None);
+    }
+
+    /// Drop the detours around the dead neighbour `around` (with `None`,
+    /// every detour): the entries whose broker peer is another neighbour of
+    /// a dead neighbour, so not a tree neighbour but two hops away through it.
+    pub(crate) fn drop_detours(&mut self, around: Option<BrokerId>) {
+        let detours: BTreeSet<Peer> = self
+            .filters
+            .entries()
+            .filter_map(|e| match e.peer {
+                Peer::Broker(b) => {
+                    let hop = self.next_hop_to(b);
+                    (hop != b && around.is_none_or(|d| hop == d)).then_some(e.peer)
+                }
+                Peer::Client(_) => None,
+            })
+            .collect();
+        for peer in detours {
+            self.filters.clear_peer(peer);
+        }
     }
 
     /// Overlay-tree neighbors of an arbitrary broker.
@@ -218,11 +239,6 @@ impl BrokerCore {
                 let mut fresh = Vec::new();
                 for f in filters {
                     if self.filters.add_ref(Peer::Broker(from), f.clone(), None) {
-                        self.repair
-                            .detours
-                            .entry(d)
-                            .or_default()
-                            .push((from, f.clone()));
                         fresh.push(f);
                     }
                 }
@@ -259,11 +275,7 @@ impl BrokerCore {
         if !self.repair.dead.remove(&peer) {
             return;
         }
-        if let Some(detours) = self.repair.detours.remove(&peer) {
-            for (via, f) in detours {
-                self.filters.remove_ref(Peer::Broker(via), &f);
-            }
-        }
+        self.drop_detours(Some(peer));
         let needed = self.needed_filters();
         if !needed.is_empty() {
             ctx.send_to_broker(
@@ -305,20 +317,14 @@ impl<P: MobilityProtocol> Broker<P> {
                 self.core.repair_announce(from, dead, filters, ctx)
             }
             RepairMsg::Restarted => {
-                // Detour entries are soft state living inside the durable
-                // filter table: revert any recorded before the crash, because
-                // the restart wipes the bookkeeping (`PeerUp` may itself have
-                // been dropped while this broker was down) and a stale detour
-                // alongside resynced tree routes is a routing cycle. Taking
-                // the repair state also wipes any replicas this broker held
-                // for *other* brokers — a restart loses them.
-                let repair = std::mem::take(&mut self.core.repair);
-                for detours in repair.detours.into_values() {
-                    for (via, f) in detours {
-                        self.core.filters.remove_ref(Peer::Broker(via), &f);
-                    }
-                }
+                // A restart wipes the repair bookkeeping (and the replicas
+                // held for others) but not the detours in the durable table,
+                // whose `PeerUp` this broker may have missed. A detour (an
+                // entry whose broker peer is not a tree neighbour) beside
+                // resynced tree routes is a routing cycle: drop them all
+                // before asking for the replica, whose response may be lost.
                 self.core.repair = RepairState::default();
+                self.core.drop_detours(None);
                 let holder = (self.core.replication_period > SimDuration::ZERO)
                     .then(|| self.core.replica_holder())
                     .flatten();
@@ -337,16 +343,12 @@ impl<P: MobilityProtocol> Broker<P> {
                     );
                     self.rearm_replication(ctx);
                 } else {
-                    // Reload durable state from the synchronous checkpoint
-                    // (the round-trip models the reload; timers and in-flight
-                    // messages were dropped by the engine while the window
-                    // was active).
-                    let checkpoint = self.core.checkpoint();
+                    // Synchronous checkpointing: the live table and
+                    // attachments are the checkpoint; only its size is noted.
                     if self.core.track_mem {
-                        let bytes = checkpoint.modeled_bytes();
+                        let bytes = self.core.checkpoint().modeled_bytes();
                         self.core.note_checkpoint_bytes(bytes);
                     }
-                    self.core.restore(checkpoint);
                     self.finish_restart(ctx);
                 }
             }
@@ -415,22 +417,15 @@ impl<P: MobilityProtocol> Broker<P> {
         ctx: &mut BrokerCtx<'_, P::Msg>,
     ) {
         let pre_crash = self.core.pending_restore.take().unwrap_or_default();
-        match replica {
-            Some(checkpoint) => {
-                if self.core.track_mem {
-                    let bytes = checkpoint.modeled_bytes();
-                    self.core.note_checkpoint_bytes(bytes);
-                }
-                self.core.restore(checkpoint);
-            }
-            None => {
-                // No replica survived (the holder restarted too, or the
-                // crash beat the first tick): cold restart. Broker-peer
-                // routes are rebuilt by the neighbors' resync announces.
-                self.core.filters = FilterTable::new();
-                self.core.connected = BTreeMap::new();
-            }
+        // No replica survived (the holder restarted too, or the crash beat
+        // the first tick): cold restart from an empty checkpoint. Broker-peer
+        // routes are rebuilt by the neighbors' resync announces.
+        let checkpoint = replica.unwrap_or_default();
+        if self.core.track_mem {
+            let bytes = checkpoint.modeled_bytes();
+            self.core.note_checkpoint_bytes(bytes);
         }
+        self.core.restore(checkpoint);
         // Staleness cost: clients attached before the crash but absent from
         // the replica (they arrived after the last tick) re-subscribe from
         // scratch — real subscription-propagation traffic, attributed in
@@ -602,9 +597,9 @@ mod tests {
     use super::*;
     use crate::broker::NoProtocol;
     use crate::deployment::{ClientSpec, Deployment, DeploymentConfig};
-    use crate::event::EventBuilder;
+    use crate::event::{Event, EventBuilder};
     use crate::filter::{Filter, Op};
-    use mhh_simnet::SimTime;
+    use mhh_simnet::{EngineConfig, RunOutcome, SimTime};
 
     fn filter(group: i64) -> Filter {
         Filter::single("group", Op::Eq, group)
@@ -647,6 +642,9 @@ mod tests {
         let run = |repair: bool| {
             let mut dep: Deployment<NoProtocol> =
                 Deployment::build_on(network.clone(), &config, &clients, |_| NoProtocol);
+            dep.engine = dep.engine.with_config(EngineConfig {
+                max_deliveries: 1 << 20,
+            });
             dep.engine.set_faults(Arc::new(schedule.clone()));
             if repair {
                 let drives = repair_drives(
@@ -666,7 +664,10 @@ mod tests {
                     .build(id, ClientId(1), id);
                 dep.schedule_publish(SimTime::from_secs(at), ClientId(1), event);
             }
-            dep.engine.run_to_completion();
+            // Bounded, so a detour left beside the healed tree fails the
+            // run instead of hanging it.
+            let outcome = dep.engine.run_until(SimTime::from_secs(600));
+            assert_eq!(outcome, RunOutcome::Drained, "a routing cycle never drains");
             let ids: Vec<u64> = dep
                 .client(ClientId(0))
                 .received
@@ -689,33 +690,77 @@ mod tests {
         );
     }
 
+    /// Group-`group` event `id` published by client `publisher` at `at`.
+    fn publish(at: SimTime, publisher: u32, group: i64, id: u64) -> (SimTime, u32, Event) {
+        let event = EventBuilder::new()
+            .attr("group", group)
+            .build(id, ClientId(publisher), id);
+        (at, publisher, event)
+    }
+
+    /// Run `clients` through `schedule` with the repair drives and the
+    /// given publishes, until 600 s — far past every heal — or until
+    /// `max_deliveries` envelopes are delivered, so a routing cycle comes
+    /// back as `ReachedHorizon` or `HitDeliveryLimit` instead of hanging.
+    /// Returns the outcome, the hops sent, the envelopes delivered and
+    /// every client's received event ids.
+    fn run_bounded(
+        config: &DeploymentConfig,
+        clients: &[ClientSpec],
+        schedule: &FaultSchedule,
+        publishes: Vec<(SimTime, u32, Event)>,
+        max_deliveries: u64,
+    ) -> (RunOutcome, u64, u64, Vec<Vec<u64>>) {
+        let network = Arc::new(mhh_simnet::TopologyKind::Grid.build(config.grid_side, config.seed));
+        let mut dep: Deployment<NoProtocol> =
+            Deployment::build_on(network.clone(), config, clients, |_| NoProtocol);
+        dep.engine = dep.engine.with_config(EngineConfig { max_deliveries });
+        dep.engine.set_faults(Arc::new(schedule.clone()));
+        dep.arm_replication_ticks();
+        let drives = repair_drives(schedule, &network, &dep.book, SimDuration::from_millis(500));
+        for (at, node, msg) in drives {
+            dep.engine.schedule_external(at, node, msg);
+        }
+        for (at, publisher, event) in publishes {
+            dep.schedule_publish(at, ClientId(publisher), event);
+        }
+        let outcome = dep.engine.run_until(SimTime::from_secs(600));
+        let received = dep
+            .clients()
+            .map(|c| c.received.iter().map(|r| r.event.0).collect())
+            .collect();
+        let (hops, delivered) = (
+            dep.engine.stats().total_hops(),
+            dep.engine.perf().deliveries,
+        );
+        (outcome, hops, delivered, received)
+    }
+
     /// Overlapping crashes on *adjacent* brokers: the second crash swallows
     /// the first broker's `PeerUp`/resync while the detour hub is down, so
     /// the hub restarts with detour entries still sitting in its (durable)
-    /// filter table and no bookkeeping left to revert them. Stale detours
-    /// alongside healed tree routes form a routing cycle whose events
-    /// multiply without bound — this test only returns from
-    /// `run_to_completion` because `Restarted` reverts recorded detours.
+    /// filter table. Stale detours alongside healed tree routes form a
+    /// routing cycle whose events multiply without bound — `Restarted`
+    /// drops every detour entry, so the run drains.
     #[test]
     fn overlapping_adjacent_crashes_heal_without_forwarding_storm() {
         let config = DeploymentConfig::default();
-        let network = Arc::new(mhh_simnet::TopologyKind::Grid.build(config.grid_side, config.seed));
+        let network = mhh_simnet::TopologyKind::Grid.build(config.grid_side, config.seed);
         let dead = (0..network.broker_count())
             .find(|&b| network.tree.neighbors(b).len() >= 2)
             .expect("a grid MST has interior nodes");
         let nbs = network.tree.neighbors(dead);
         let hub = *nbs.iter().min().expect("interior node has neighbors");
-        let (sub_home, pub_home) = (BrokerId(nbs[0] as u32), BrokerId(nbs[1] as u32));
         let clients = vec![
             ClientSpec {
                 filter: filter(1),
-                home: sub_home,
+                home: BrokerId(nbs[0] as u32),
                 mobile: false,
                 initially_attached: true,
             },
             ClientSpec {
                 filter: filter(99),
-                home: pub_home,
+                home: BrokerId(nbs[1] as u32),
                 mobile: false,
                 initially_attached: true,
             },
@@ -731,34 +776,128 @@ mod tests {
                 SimTime::from_secs(9),
                 SimTime::from_secs(20),
             );
-        let mut dep: Deployment<NoProtocol> =
-            Deployment::build_on(network.clone(), &config, &clients, |_| NoProtocol);
-        dep.engine.set_faults(Arc::new(schedule.clone()));
-        let drives = repair_drives(
-            &schedule,
-            &network,
-            &dep.book,
-            SimDuration::from_millis(500),
-        );
-        for (at, node, msg) in drives {
-            dep.engine.schedule_external(at, node, msg);
-        }
-        let event = EventBuilder::new()
-            .attr("group", 1i64)
-            .build(7, ClientId(1), 1);
-        dep.schedule_publish(SimTime::from_secs(25), ClientId(1), event);
-        dep.engine.run_to_completion();
-        let ids: Vec<u64> = dep
-            .client(ClientId(0))
-            .received
-            .iter()
-            .map(|r| r.event.0)
-            .collect();
+        let at = SimTime::from_secs(25);
+        let publishes = vec![publish(at, 1, 1, 7)];
+        let (outcome, _, _, received) =
+            run_bounded(&config, &clients, &schedule, publishes, 1 << 20);
+        assert_eq!(outcome, RunOutcome::Drained, "a routing cycle never drains");
         assert_eq!(
-            ids,
+            received[0],
             vec![7],
             "the post-heal event must arrive exactly once over the resynced tree"
         );
+    }
+
+    /// Overlapping crashes with neighbour-replicated checkpoints, in the
+    /// order that closes a cycle through a replica: broker `x` crashes, its
+    /// detour hub installs its needs at `x`'s other neighbour `y`, which
+    /// replicates them before it crashes in turn and restarts last (after
+    /// `x`, so `PeerUp(x)` never reached it). The replica `y` reloads still
+    /// holds the detour entries toward the hub; kept, they and the healed
+    /// tree edges hub–x–y form a cycle that delivers every event over and
+    /// over.
+    #[test]
+    fn replica_restore_after_overlapping_crashes_keeps_no_detour() {
+        let config = DeploymentConfig {
+            grid_side: 5,
+            checkpoint_replication_ms: 1_000,
+            replication_horizon_ms: 60_000,
+            ..DeploymentConfig::default()
+        };
+        let network = mhh_simnet::TopologyKind::Grid.build(config.grid_side, config.seed);
+        let (x, hub, y) = (16, 11, 17);
+        let nbs = network.tree.neighbors(x);
+        assert!(nbs.contains(&y) && nbs.iter().min() == Some(&hub));
+        assert_ne!(
+            network.tree.neighbors(y).iter().min(),
+            Some(&x),
+            "y's replica must survive x's outage"
+        );
+        let client = |home: usize, group: i64| ClientSpec {
+            filter: filter(group),
+            home: BrokerId(home as u32),
+            mobile: false,
+            initially_attached: true,
+        };
+        let clients = vec![client(hub, 1), client(y, 1), client(0, 99)];
+        let schedule = FaultSchedule::new()
+            .crash(
+                NodeId(x as u32),
+                SimTime::from_secs(1),
+                SimTime::from_secs(20),
+            )
+            .crash(
+                NodeId(y as u32),
+                SimTime::from_secs(10),
+                SimTime::from_secs(25),
+            );
+        let at = SimTime::from_secs(40);
+        let publishes = vec![
+            publish(at, 0, 1, 7),
+            publish(at, 1, 1, 8),
+            publish(at, 2, 1, 9),
+        ];
+        let (outcome, _, _, received) =
+            run_bounded(&config, &clients, &schedule, publishes, 1 << 20);
+        assert_eq!(outcome, RunOutcome::Drained, "a routing cycle never drains");
+        for ids in &received {
+            let unique: BTreeSet<&u64> = ids.iter().collect();
+            assert_eq!(
+                unique.len(),
+                ids.len(),
+                "an event arrived twice: {received:?}"
+            );
+        }
+        assert_eq!(received[1], vec![7, 9], "y's subscriber hears both others");
+    }
+
+    /// Seeded six-crash storms on a lossless 4×4 grid with replicated
+    /// checkpoints: every storm drains, within `C` times the hops of the
+    /// same clients and publishes without faults (the 100 storms stay
+    /// within 1.03×). A detour left in a restarted broker's table closes a
+    /// routing cycle that circulates events until the delivery cap — `C`
+    /// times the fault-free run's deliveries — cuts the run.
+    #[test]
+    fn lossless_crash_storms_stay_within_amplification_bound() {
+        const C: u64 = 2;
+        let horizon = SimTime::from_secs(200);
+        let config = DeploymentConfig {
+            grid_side: 4,
+            checkpoint_replication_ms: 1_000,
+            replication_horizon_ms: 200_000,
+            ..DeploymentConfig::default()
+        };
+        let brokers = config.grid_side * config.grid_side;
+        let clients: Vec<ClientSpec> = (0..brokers)
+            .map(|b| ClientSpec {
+                filter: filter(b as i64 % 3),
+                home: BrokerId(b as u32),
+                mobile: false,
+                initially_attached: true,
+            })
+            .collect();
+        let publishes = || {
+            (0..brokers as u32)
+                .flat_map(|c| (0..20u64).map(move |k| (c, k)))
+                .map(|(c, k)| {
+                    let at = SimTime::from_secs(5 + 10 * k) + SimDuration::from_millis(c as u64);
+                    publish(at, c, (c as i64 + 1) % 3, 100 * k + c as u64)
+                })
+                .collect()
+        };
+        let calm = FaultSchedule::new();
+        let (_, free_hops, free, _) = run_bounded(&config, &clients, &calm, publishes(), u64::MAX);
+        for seed in 0..100 {
+            let storm =
+                FaultSchedule::crash_storm(seed, brokers, 6, horizon, SimDuration::from_secs(30));
+            let (outcome, hops, _, _) =
+                run_bounded(&config, &clients, &storm, publishes(), C * free);
+            assert_eq!(outcome, RunOutcome::Drained, "storm {seed} never drains");
+            assert!(
+                hops <= C * free_hops,
+                "storm {seed} sent {hops} hops, over {C} × {free_hops} without faults"
+            );
+        }
     }
 
     /// A partitioned tree edge is bridged by tunneling through a relay;
