@@ -279,10 +279,12 @@ pub trait MobilityProtocol: Sized + Send {
 /// watermark (the highest per-publisher sequence number already delivered)
 /// plus a bounded window of recently delivered event ids. An event is
 /// suppressed when its sequence number is at or below the publisher's
-/// watermark *or* its id is still in the recent window; otherwise it is
-/// delivered and both structures advance. The watermark is what kills the
-/// unbounded crash-recovery duplicate storm (re-forwarded backlogs replay
-/// entire histories); the id window catches re-sends that race ahead of it.
+/// watermark; otherwise it is delivered and both structures advance. The
+/// watermark is what kills the unbounded crash-recovery duplicate storm
+/// (re-forwarded backlogs replay entire histories). The id window never
+/// decides — an id in it was delivered at or below the watermark — and is
+/// kept as modeled state (its bytes count toward the dedup high-water mark)
+/// and as a debug-build check of that invariant.
 #[derive(Debug, Clone, Default)]
 pub struct DedupState {
     /// Highest delivered sequence number per publisher.
@@ -540,13 +542,18 @@ impl BrokerCore {
 
     /// Check an imminent delivery against the client's dedup state and,
     /// when it is fresh, advance the watermark and the recent-id window.
+    /// The watermark alone decides (see [`DedupState`]).
     fn note_delivery_is_duplicate(&mut self, client: ClientId, event: &Event) -> bool {
         let st = self.dedup.entry(client).or_default();
         let duplicate = st
             .watermarks
             .get(&event.publisher)
-            .is_some_and(|&max| event.seq <= max)
-            || st.recent.contains(&event.id);
+            .is_some_and(|&max| event.seq <= max);
+        debug_assert!(
+            duplicate || !st.recent.contains(&event.id),
+            "event {:?} is in the recent window but above its publisher's watermark",
+            event.id
+        );
         if !duplicate {
             st.watermarks.insert(event.publisher, event.seq);
             st.recent.push_back(event.id);

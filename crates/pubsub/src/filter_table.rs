@@ -689,6 +689,12 @@ impl FilterTable {
         self.live_count == 0
     }
 
+    /// Entry slots, tombstones included (how far compaction is behind).
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Iterate over all entries, in insertion order.
     pub fn entries(&self) -> impl Iterator<Item = &FilterEntry> {
         self.entries
@@ -1114,6 +1120,21 @@ impl FilterTable {
             }
         }
         out
+    }
+}
+
+/// A table holding `entries` in their order, built through
+/// [`FilterTable::add_ref`] (so a duplicate `(peer, filter)` pair keeps its
+/// first entry). Answers depend on relative entry positions only, so the
+/// table built from another's [`entries`](FilterTable::entries) answers
+/// every query exactly as that table does.
+impl FromIterator<FilterEntry> for FilterTable {
+    fn from_iter<I: IntoIterator<Item = FilterEntry>>(entries: I) -> Self {
+        let mut table = FilterTable::new();
+        for e in entries {
+            table.add_ref(e.peer, e.filter, e.accept_only_from);
+        }
+        table
     }
 }
 

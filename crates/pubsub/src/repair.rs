@@ -25,11 +25,19 @@
 //!   directly, so routing semantics (RPF exclusions, protocol handshakes)
 //!   are unchanged.
 //! * **checkpoint/restore** — a restarting broker reloads its durable state
-//!   ([`BrokerCheckpoint`]: filter table + connected set) and hands control
-//!   to the mobility protocol's
+//!   ([`BrokerCheckpoint`]: the filter table's live entries + connected set)
+//!   and hands control to the mobility protocol's
 //!   [`on_restart`](crate::broker::MobilityProtocol::on_restart) hook; timers
 //!   and in-flight messages are lost (the engine dropped them), which is
-//!   precisely what the hook must recover from.
+//!   precisely what the hook must recover from. A checkpoint holds the set
+//!   {(nb, f)} of Section 3 and nothing derived from it: the table's indexes
+//!   are rebuilt on restore by inserting the entries in table order, and
+//!   matching and the covering queries answer by *relative* entry position
+//!   (see `Output order` in [`crate::filter_table`]), so the rebuilt table
+//!   answers exactly as the one the checkpoint was taken from. Taking one
+//!   copies a vector of (peer, shared filter record, label) triples — never
+//!   a filter — and prices its modeled size once, for the replication
+//!   message and the memory high-water mark alike.
 //!
 //! Failure *detection* is driven deterministically: [`repair_drives`]
 //! translates a fault schedule into the timeout envelopes a real failure
@@ -44,7 +52,7 @@ use mhh_simnet::{FaultSchedule, Network, NodeId, OutageScope, SimDuration, SimTi
 
 use crate::address::{AddressBook, BrokerId, ClientId, Peer};
 use crate::broker::{Broker, BrokerCore, BrokerCtx, MobilityProtocol};
-use crate::filter_table::{FilterRef, FilterTable};
+use crate::filter_table::{FilterEntry, FilterRef};
 use crate::messages::{NetMsg, ProtocolMessage, RepairMsg};
 
 /// Per-broker repair bookkeeping, embedded in [`BrokerCore`].
@@ -66,20 +74,38 @@ pub struct RepairState {
 /// The durable state a broker reloads after a restart (the "synchronous
 /// checkpointing" model: the filter table and client attachments survive,
 /// soft protocol state, timers and in-flight messages do not).
+///
+/// The table is held as its live entries in table order — peer, shared
+/// [`FilterRef`], accept-only-from label — not as a
+/// [`FilterTable`](crate::filter_table::FilterTable): the
+/// indexes beside the entries are derived state, rebuilt by
+/// [`BrokerCore::restore`] through the table's one insertion path. The
+/// modeled size is worked out once, when the checkpoint is taken.
 #[derive(Debug, Clone, Default)]
 pub struct BrokerCheckpoint {
-    /// The filter table at checkpoint time.
-    pub filters: FilterTable,
+    /// The filter table's live entries at checkpoint time, in table order.
+    entries: Vec<FilterEntry>,
     /// Locally connected clients and their filters.
-    pub connected: BTreeMap<ClientId, FilterRef>,
+    connected: BTreeMap<ClientId, FilterRef>,
+    /// [`modeled_bytes`](Self::modeled_bytes), computed when taken.
+    bytes: u64,
 }
 
 impl BrokerCheckpoint {
-    /// Modeled on-disk size of the checkpoint: a 4-byte peer id plus the
-    /// filter's [`modeled_bytes`](crate::filter::Filter::modeled_bytes) per
-    /// filter-table entry, and the same per connected client. Pure
-    /// accounting — restores never pay a size-dependent latency.
+    /// Modeled on-disk size of the checkpoint (see
+    /// [`BrokerCore::durable_bytes`]). Pure accounting — restores never pay
+    /// a size-dependent latency.
     pub fn modeled_bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl BrokerCore {
+    /// Modeled on-disk size of this broker's durable state: a 4-byte peer
+    /// id plus the filter's
+    /// [`modeled_bytes`](crate::filter::Filter::modeled_bytes) per
+    /// filter-table entry, and the same per connected client.
+    pub fn durable_bytes(&self) -> u64 {
         let table: u64 = self
             .filters
             .entries()
@@ -88,21 +114,25 @@ impl BrokerCheckpoint {
         let connected: u64 = self.connected.values().map(|f| 4 + f.modeled_bytes()).sum();
         table + connected
     }
-}
 
-impl BrokerCore {
-    /// Snapshot this broker's durable state.
+    /// Snapshot this broker's durable state: one vector of the table's
+    /// live entries (each a peer, a shared record and a label, so no filter
+    /// is copied) and the attachment set.
     pub fn checkpoint(&self) -> BrokerCheckpoint {
+        let mut entries = Vec::with_capacity(self.filters.len());
+        entries.extend(self.filters.entries().cloned());
         BrokerCheckpoint {
-            filters: self.filters.clone(),
+            entries,
             connected: self.connected.clone(),
+            bytes: self.durable_bytes(),
         }
     }
 
     /// Reload durable state from a checkpoint, less its detours (repair
-    /// bookkeeping and protocol soft state are the caller's to reset).
+    /// bookkeeping and protocol soft state are the caller's to reset). The
+    /// table is rebuilt by inserting the entries in their order.
     pub fn restore(&mut self, checkpoint: BrokerCheckpoint) {
-        self.filters = checkpoint.filters;
+        self.filters = checkpoint.entries.into_iter().collect();
         self.connected = checkpoint.connected;
         self.drop_detours(None);
     }
@@ -346,7 +376,7 @@ impl<P: MobilityProtocol> Broker<P> {
                     // Synchronous checkpointing: the live table and
                     // attachments are the checkpoint; only its size is noted.
                     if self.core.track_mem {
-                        let bytes = self.core.checkpoint().modeled_bytes();
+                        let bytes = self.core.durable_bytes();
                         self.core.note_checkpoint_bytes(bytes);
                     }
                     self.finish_restart(ctx);
@@ -972,28 +1002,157 @@ mod tests {
         );
     }
 
-    /// Durable state survives a checkpoint/restore round-trip; later
-    /// mutations are rolled back to the snapshot.
+    /// Durable state survives a checkpoint/restore round-trip, labels
+    /// included; later mutations are rolled back to the snapshot.
     #[test]
     fn checkpoint_restore_round_trips_durable_state() {
         let network = Arc::new(Network::grid(3, 7));
         let book = AddressBook::new(9, 2);
         let mut core = BrokerCore::new(BrokerId(4), book, network, true);
-        core.filters.add(Peer::Client(ClientId(0)), filter(1));
-        core.filters.add(Peer::Broker(BrokerId(1)), filter(2));
+        let (c0, c1) = (Peer::Client(ClientId(0)), Peer::Client(ClientId(1)));
+        let b1 = Peer::Broker(BrokerId(1));
+        core.filters.add(c0, filter(1));
+        core.filters.add(b1, filter(2));
+        core.filters.add_labeled(c1, filter(2), Some(b1));
         core.connected.insert(ClientId(0), filter(1).into());
         let checkpoint = core.checkpoint();
 
-        core.filters.remove(Peer::Client(ClientId(0)), &filter(1));
+        core.filters.remove(c0, &filter(1));
         core.connected.clear();
         core.filters.add(Peer::Broker(BrokerId(2)), filter(3));
+        core.filters.set_label(c1, &filter(2), None);
+        core.filters.add_labeled(c0, filter(2), Some(b1));
         core.restore(checkpoint);
 
-        assert!(core.filters.contains(Peer::Client(ClientId(0)), &filter(1)));
-        assert!(core.filters.contains(Peer::Broker(BrokerId(1)), &filter(2)));
+        assert!(core.filters.contains(c0, &filter(1)));
+        assert!(core.filters.contains(b1, &filter(2)));
         assert!(!core.filters.contains(Peer::Broker(BrokerId(2)), &filter(3)));
+        assert!(!core.filters.contains(c0, &filter(2)));
+        assert_eq!(core.filters.label_of(c1, &filter(2)), Some(b1));
+        assert_eq!(core.filters.label_of(c0, &filter(1)), None);
         assert_eq!(core.connected.len(), 1);
         assert_eq!(core.needed_filters().len(), 2);
+    }
+
+    /// Differential check of the entries-only checkpoint: after seeded
+    /// `add_ref` / `remove_ref` / `set_label` / `clear_peer` churn — with
+    /// tombstones left behind and compactions along the way — the table
+    /// [`BrokerCore::restore`] rebuilds from [`BrokerCore::checkpoint`]
+    /// holds the same entries in the same order with the same labels, and
+    /// answers matching and the three covering queries exactly as the
+    /// original, order included. Every broker peer is a tree neighbour, so
+    /// the restore's detour drop removes nothing.
+    #[test]
+    fn restore_rebuilds_a_table_that_answers_as_the_original() {
+        use crate::value::Value;
+        use mhh_simnet::random::DetRng;
+
+        let network = Arc::new(Network::grid(3, 7));
+        let book = AddressBook::new(9, 6);
+        let me = BrokerId(4);
+        let mut peers: Vec<Peer> = BrokerCore::new(me, book, network.clone(), true)
+            .neighbors()
+            .into_iter()
+            .map(Peer::Broker)
+            .collect();
+        peers.extend((0..6).map(|c| Peer::Client(ClientId(c))));
+        let mut rng = DetRng::new(0x5eed_c4ec);
+        // Shared records, so re-adds hit the duplicate check; bounds on a
+        // coarse lattice so that covering is common.
+        let pool: Vec<FilterRef> = (0..48)
+            .map(|_| {
+                let x = rng.index(8) as f64 * 5.0;
+                let w = (1 + rng.index(3)) as f64 * 5.0;
+                let k = rng.index(4) as i64;
+                FilterRef::new(match rng.index(12) {
+                    0 => filter(k),
+                    1 => Filter::single("v", Op::Ge, x).and("v", Op::Lt, x + w),
+                    2 => Filter::single("v", Op::Ge, x).and("v", Op::Le, x + w),
+                    3 => filter(k).and("v", Op::Ge, x),
+                    4 => Filter::single("group", Op::Ne, k),
+                    5 => Filter::single("v", Op::Exists, 0i64),
+                    6 => Filter::match_all(),
+                    7 => Filter::single("v", Op::Gt, x),
+                    8 => Filter::single("v", Op::Eq, Value::Int(x as i64)),
+                    9 => Filter::single("v", Op::Lt, x).and("group", Op::Ne, k),
+                    10 => Filter::single("v", Op::Ge, x + w).and("v", Op::Le, x),
+                    _ => Filter::single("v", Op::Le, x),
+                })
+            })
+            .collect();
+        let pick = |rng: &mut DetRng, xs: &[Peer]| xs[rng.index(xs.len())];
+        let (mut checked, mut with_tombstones, mut compactions) = (0, 0, 0);
+        for _ in 0..8 {
+            let mut core = BrokerCore::new(me, book, network.clone(), true);
+            for step in 0..600 {
+                let slots = core.filters.slots();
+                let t = &mut core.filters;
+                match rng.index(16) {
+                    0..=6 => {
+                        let label = (rng.index(3) == 0).then(|| pick(&mut rng, &peers));
+                        let f = pool[rng.index(pool.len())].clone();
+                        t.add_ref(pick(&mut rng, &peers), f, label);
+                    }
+                    7..=12 if !t.is_empty() => {
+                        let e = t.entries().nth(rng.index(t.len())).expect("in range");
+                        let (p, f) = (e.peer, e.filter.clone());
+                        assert!(t.remove_ref(p, &f));
+                    }
+                    13 | 14 if !t.is_empty() => {
+                        let e = t.entries().nth(rng.index(t.len())).expect("in range");
+                        let (p, f) = (e.peer, e.filter.clone());
+                        let label = (rng.index(2) == 0).then(|| pick(&mut rng, &peers));
+                        assert!(t.set_label(p, &f, label));
+                    }
+                    _ => t.clear_peer(pick(&mut rng, &peers)),
+                }
+                compactions += usize::from(core.filters.slots() < slots);
+                if step % 20 != 19 {
+                    continue;
+                }
+                checked += 1;
+                with_tombstones += usize::from(core.filters.slots() > core.filters.len());
+                let mut copy = BrokerCore::new(me, book, network.clone(), true);
+                copy.restore(core.checkpoint());
+                let (a, b) = (&mut core.filters, &mut copy.filters);
+                let entries: Vec<FilterEntry> = a.entries().cloned().collect();
+                assert_eq!(b.entries().cloned().collect::<Vec<_>>(), entries);
+                for e in &entries {
+                    assert_eq!(b.label_of(e.peer, &e.filter), e.accept_only_from);
+                }
+                for _ in 0..6 {
+                    let event = EventBuilder::new()
+                        .attr("group", rng.index(4) as i64)
+                        .attr("v", rng.index(50) as f64)
+                        .build(1, ClientId(0), 0);
+                    for &from in peers.iter().chain([&Peer::Broker(BrokerId(8))]) {
+                        assert_eq!(
+                            b.matching_targets(&event, from),
+                            a.matching_targets(&event, from),
+                            "matching {event:?} from {from:?}"
+                        );
+                    }
+                }
+                for f in &pool {
+                    let excluded = [pick(&mut rng, &peers), pick(&mut rng, &peers)];
+                    assert_eq!(
+                        b.covered_by_other(f, excluded[0]),
+                        a.covered_by_other(f, excluded[0])
+                    );
+                    assert_eq!(b.covered_entries(f), a.covered_entries(f));
+                    assert_eq!(
+                        b.related_to_other(f, &excluded),
+                        a.related_to_other(f, &excluded)
+                    );
+                }
+            }
+        }
+        assert!(checked >= 200, "{checked} checkpoints compared");
+        assert!(
+            with_tombstones >= 100,
+            "tombstones exercised ({with_tombstones})"
+        );
+        assert!(compactions >= 8, "compaction exercised ({compactions})");
     }
 
     /// The drive generator emits the full detect/heal sequence for a crash

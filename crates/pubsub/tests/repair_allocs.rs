@@ -1,18 +1,27 @@
-//! Allocation pin for a broker dropping a crashed neighbour's routes.
+//! Allocation pins for a broker's repair paths.
 //!
 //! When a broker is told a tree neighbour is down it removes every table
 //! entry pointing at that neighbour and re-announces the filters it still
 //! needs. Removing an entry has nothing to copy: a removal path that hands
 //! back each removed entry's `Filter` makes at least three heap objects per
 //! entry (constraint vector, two attribute names) only to drop them again.
-//! This binary counts the allocator calls the broker makes while handling
+//! The first test counts the allocator calls the broker makes while handling
 //! one `PeerDown` for a leaf broker whose single neighbour carries `N`
 //! subscriptions, at two sizes, and holds both to one bound that does not
 //! grow with `N` — the per-entry copy needs ≥ 3 · 64 = 192 already at the
 //! smaller size, against a bound of 64 (the copy-free path makes 10–20).
 //!
-//! The binary holds a single test, and only the thread that set the flag is
-//! counted, so the harness's own allocations stay out of the figures.
+//! The second counts one checkpoint-replication tick of the same leaf: the
+//! checkpoint is one vector of the table's live entries (each a peer, a
+//! shared filter record and a label) plus the attachment set, so taking and
+//! sending it makes a handful of allocator calls whatever `N` is. A
+//! checkpoint that clones the table's indexes makes one or more per
+//! distinct equality value (each subscription here pins its own), ≥ 64
+//! already at the smaller size.
+//!
+//! Only the thread that set the flag is counted, so the harness's own
+//! allocations (and a test running beside on another thread) stay out of
+//! the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,8 +88,8 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 const SIDE: usize = 4;
-/// Allocator calls allowed for handling one `PeerDown`, whatever the number
-/// of entries the dead neighbour carried.
+/// Allocator calls allowed for handling one `PeerDown` or one
+/// `ReplicateTick`, whatever the number of entries in the broker's table.
 const BOUND: usize = 64;
 
 /// Build a grid with `remote` subscribers (each its own `lo <= v < hi`
@@ -155,6 +164,71 @@ fn dropping_a_dead_neighbours_routes_copies_no_filter() {
         assert!(
             allocs <= BOUND,
             "handling PeerDown for a neighbour carrying {remote} entries made {allocs} \
+             allocations (bound {BOUND}, whatever the entry count)"
+        );
+    }
+}
+
+/// Build a grid whose leaf broker holds `remote` entries behind its only
+/// tree neighbour, each pinned to its own `v == i` (so a table index keeps
+/// one equality list per entry), plus one local subscriber; deliver one
+/// `ReplicateTick` to the leaf and return the allocator calls it made
+/// (taking the checkpoint, sending it, re-arming the tick).
+fn replicate_tick_allocs(remote: usize) -> usize {
+    let config = DeploymentConfig {
+        grid_side: SIDE,
+        checkpoint_replication_ms: 5_000,
+        replication_horizon_ms: 60_000,
+        ..DeploymentConfig::default()
+    };
+    let network = Arc::new(config.topology.build(SIDE, config.seed));
+    let brokers = SIDE * SIDE;
+    let leaf = (0..brokers)
+        .find(|&b| network.tree.neighbors(b).len() == 1)
+        .expect("a spanning tree has leaves");
+    let others: Vec<usize> = (0..brokers).filter(|&b| b != leaf).collect();
+    let mut clients: Vec<ClientSpec> = (0..remote)
+        .map(|i| ClientSpec {
+            filter: Filter::single("v", Op::Eq, i as i64),
+            home: BrokerId(others[i % others.len()] as u32),
+            mobile: false,
+            initially_attached: true,
+        })
+        .collect();
+    clients.push(ClientSpec {
+        filter: Filter::single("v", Op::Ge, 2.0),
+        home: BrokerId(leaf as u32),
+        mobile: false,
+        initially_attached: true,
+    });
+
+    let mut dep =
+        Deployment::<NoProtocol>::build_on(network.clone(), &config, &clients, |_| NoProtocol);
+    let leaf_id = BrokerId(leaf as u32);
+    assert_eq!(dep.broker(leaf_id).core.filters.len(), remote + 1);
+
+    dep.engine.schedule_external(
+        SimTime::from_millis(1),
+        dep.book.broker_node(leaf_id),
+        NetMsg::Repair(RepairMsg::ReplicateTick),
+    );
+    let (_, allocs) = counted(|| dep.engine.run_strictly_before(SimTime::from_millis(2)));
+    assert_eq!(
+        dep.engine.stats().kind("repair_replicate").messages,
+        1,
+        "the tick sent one checkpoint"
+    );
+    allocs
+}
+
+#[test]
+fn a_replication_tick_copies_no_index() {
+    for remote in [64, 1024] {
+        let allocs = replicate_tick_allocs(remote);
+        println!("ReplicateTick with {remote} entries: {allocs} allocations (bound {BOUND})");
+        assert!(
+            allocs <= BOUND,
+            "one ReplicateTick of a broker holding {remote} entries made {allocs} \
              allocations (bound {BOUND}, whatever the entry count)"
         );
     }

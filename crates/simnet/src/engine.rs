@@ -566,12 +566,8 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                         sent_at + cost.latency
                     });
                     let t1 = profiling.then(std::time::Instant::now);
-                    let bytes = msg.wire_bytes();
                     self.stats
-                        .record(msg.traffic_class(), msg.kind(), hops, bytes);
-                    if bytes > 0 {
-                        self.stats.record_link(origin.0, to.0, bytes);
-                    }
+                        .record(msg.traffic_class(), msg.kind(), hops, msg.wire_bytes());
                     let t2 = profiling.then(std::time::Instant::now);
                     self.queue.push(
                         at,

@@ -357,12 +357,8 @@ impl<M: Message, N: Node<M>> ShardState<M, N> {
                         }
                         sent_at + cost.latency
                     });
-                    let bytes = msg.wire_bytes();
                     self.stats
-                        .record(msg.traffic_class(), msg.kind(), hops, bytes);
-                    if bytes > 0 {
-                        self.stats.record_link(origin.0, to.0, bytes);
-                    }
+                        .record(msg.traffic_class(), msg.kind(), hops, msg.wire_bytes());
                     let env = Envelope {
                         from: origin,
                         to,

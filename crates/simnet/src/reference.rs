@@ -39,7 +39,6 @@ use crate::time::SimTime;
 struct LegacyStats {
     per_class: BTreeMap<TrafficClass, ClassCounter>,
     per_kind: BTreeMap<String, ClassCounter>,
-    per_link: BTreeMap<(u32, u32), u64>,
     deliveries: u64,
 }
 
@@ -66,9 +65,6 @@ impl LegacyStats {
         }
         for (kind, &counter) in &self.per_kind {
             stats.add_kind_counter(Box::leak(kind.clone().into_boxed_str()), counter);
-        }
-        for (&(src, dst), &bytes) in &self.per_link {
-            stats.add_link_bytes(src, dst, bytes);
         }
         stats.deliveries = self.deliveries;
         stats
@@ -191,12 +187,8 @@ impl<M: Message, N: Node<M>> ReferenceEngine<M, N> {
                     // engine's jitter key), then bump the counter.
                     let cost = self.fabric.link(origin, to, sent_at, *sends);
                     *sends += 1;
-                    let bytes = msg.wire_bytes();
                     self.stats
-                        .record(msg.traffic_class(), msg.kind(), cost.hops, bytes);
-                    if bytes > 0 {
-                        *self.stats.per_link.entry((origin.0, to.0)).or_insert(0) += bytes as u64;
-                    }
+                        .record(msg.traffic_class(), msg.kind(), cost.hops, msg.wire_bytes());
                     let at = (sent_at + cost.latency).max(*clock);
                     *clock = at;
                     self.queue.push(Reverse(Scheduled {

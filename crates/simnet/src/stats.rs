@@ -172,10 +172,6 @@ pub struct TrafficStats {
     ptr_used: usize,
     /// One-entry cache: the last label recorded and its index.
     last: Option<(&'static str, u32)>,
-    /// Per-link bytes-on-wire, keyed by `(src, dst)` node index. Only ever
-    /// populated for messages with a non-zero wire size, so workloads
-    /// without payload modeling never touch (or allocate) the map.
-    per_link: std::collections::BTreeMap<(u32, u32), u64>,
     /// Total number of engine deliveries (including timers).
     pub deliveries: u64,
 }
@@ -189,7 +185,6 @@ impl Default for TrafficStats {
             ptr_index: Vec::new(),
             ptr_used: 0,
             last: None,
-            per_link: std::collections::BTreeMap::new(),
             deliveries: 0,
         }
     }
@@ -219,14 +214,6 @@ impl TrafficStats {
             }
         };
         self.kind_counts[idx as usize].bump(hops, bytes);
-    }
-
-    /// Record bytes-on-wire for one directed link. Call only for messages
-    /// with a non-zero wire size: the per-link map stays empty (and the hot
-    /// path allocation-free) when payloads are not modeled.
-    #[inline]
-    pub fn record_link(&mut self, src: u32, dst: u32, bytes: u32) {
-        *self.per_link.entry((src, dst)).or_insert(0) += bytes as u64;
     }
 
     /// Resolve a label to its interned index via the pointer table
@@ -297,12 +284,6 @@ impl TrafficStats {
         self.kind_counts[idx].messages += counter.messages;
         self.kind_counts[idx].hops += counter.hops;
         self.kind_counts[idx].bytes += counter.bytes;
-    }
-
-    /// Add pre-aggregated per-link bytes (reference-engine stats conversion
-    /// and parallel-shard merging).
-    pub(crate) fn add_link_bytes(&mut self, src: u32, dst: u32, bytes: u64) {
-        *self.per_link.entry((src, dst)).or_insert(0) += bytes;
     }
 
     /// Find-or-create the counter index for a label by *content*.
@@ -385,17 +366,6 @@ impl TrafficStats {
             .sum()
     }
 
-    /// Iterate over per-link bytes-on-wire (sorted by `(src, dst)` — the
-    /// map is a `BTreeMap`, so the order is deterministic).
-    pub fn per_link(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
-        self.per_link.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of directed links that carried modeled payload bytes.
-    pub fn links_with_bytes(&self) -> usize {
-        self.per_link.len()
-    }
-
     /// Merge another stats collector into this one (used when aggregating
     /// across repeated runs of the same experiment point). Kind counters
     /// merge by label content.
@@ -413,9 +383,6 @@ impl TrafficStats {
             self.kind_counts[idx].messages += o.messages;
             self.kind_counts[idx].hops += o.hops;
             self.kind_counts[idx].bytes += o.bytes;
-        }
-        for (&(src, dst), &bytes) in other.per_link.iter() {
-            *self.per_link.entry((src, dst)).or_insert(0) += bytes;
         }
         self.deliveries += other.deliveries;
     }
@@ -444,17 +411,11 @@ impl std::fmt::Debug for TrafficStats {
                 f.debug_map().entries(self.0.kinds()).finish()
             }
         }
-        let mut s = f.debug_struct("TrafficStats");
-        s.field("deliveries", &self.deliveries)
+        f.debug_struct("TrafficStats")
+            .field("deliveries", &self.deliveries)
             .field("per_class", &Classes(self))
-            .field("per_kind", &Kinds(self));
-        // Rendered only when payload bytes were actually recorded, so the
-        // Debug output (pinned by equivalence suites) is unchanged for
-        // workloads without payload modeling.
-        if !self.per_link.is_empty() {
-            s.field("per_link", &self.per_link);
-        }
-        s.finish()
+            .field("per_kind", &Kinds(self))
+            .finish()
     }
 }
 
