@@ -282,23 +282,28 @@ pub trait MobilityProtocol: Sized + Send {
 /// watermark; otherwise it is delivered and both structures advance. The
 /// watermark is what kills the unbounded crash-recovery duplicate storm
 /// (re-forwarded backlogs replay entire histories). The id window never
-/// decides — an id in it was delivered at or below the watermark — and is
-/// kept as modeled state (its bytes count toward the dedup high-water mark)
-/// and as a debug-build check of that invariant.
+/// decides — an id in it was delivered at or below the watermark — so only
+/// its size is kept, as modeled state (its bytes count toward the dedup
+/// high-water mark). Debug builds also keep the ids, to check that
+/// invariant on every fresh delivery.
 #[derive(Debug, Clone, Default)]
 pub struct DedupState {
     /// Highest delivered sequence number per publisher.
     pub watermarks: BTreeMap<ClientId, u64>,
-    /// Recently delivered event ids, oldest first, bounded by the broker's
-    /// [`BrokerCore::dedup_window`].
-    pub recent: std::collections::VecDeque<EventId>,
+    /// Number of event ids in the window: the fresh deliveries so far,
+    /// capped at the broker's [`BrokerCore::dedup_window`]. Nothing
+    /// empties the window, so the count never falls.
+    pub windowed: usize,
+    /// The windowed ids themselves, oldest first (debug builds only).
+    #[cfg(debug_assertions)]
+    recent: std::collections::VecDeque<EventId>,
 }
 
 impl DedupState {
     /// Modeled memory footprint: 12 bytes per watermark entry (4-byte
     /// client id + 8-byte sequence), 8 bytes per windowed event id.
     pub fn modeled_bytes(&self) -> u64 {
-        self.watermarks.len() as u64 * 12 + self.recent.len() as u64 * 8
+        self.watermarks.len() as u64 * 12 + self.windowed as u64 * 8
     }
 }
 
@@ -541,7 +546,7 @@ impl BrokerCore {
     }
 
     /// Check an imminent delivery against the client's dedup state and,
-    /// when it is fresh, advance the watermark and the recent-id window.
+    /// when it is fresh, advance the watermark and the window count.
     /// The watermark alone decides (see [`DedupState`]).
     fn note_delivery_is_duplicate(&mut self, client: ClientId, event: &Event) -> bool {
         let st = self.dedup.entry(client).or_default();
@@ -549,16 +554,21 @@ impl BrokerCore {
             .watermarks
             .get(&event.publisher)
             .is_some_and(|&max| event.seq <= max);
-        debug_assert!(
-            duplicate || !st.recent.contains(&event.id),
-            "event {:?} is in the recent window but above its publisher's watermark",
-            event.id
-        );
         if !duplicate {
             st.watermarks.insert(event.publisher, event.seq);
-            st.recent.push_back(event.id);
-            while st.recent.len() > self.dedup_window {
-                st.recent.pop_front();
+            st.windowed = (st.windowed + 1).min(self.dedup_window);
+            #[cfg(debug_assertions)]
+            {
+                assert!(
+                    !st.recent.contains(&event.id),
+                    "event {:?} is in the recent window but above its publisher's watermark",
+                    event.id
+                );
+                st.recent.push_back(event.id);
+                while st.recent.len() > self.dedup_window {
+                    st.recent.pop_front();
+                }
+                debug_assert_eq!(st.recent.len(), st.windowed);
             }
         }
         duplicate
@@ -729,12 +739,19 @@ pub struct Broker<P: MobilityProtocol> {
     pub core: BrokerCore,
     /// Mobility-protocol state.
     pub proto: P,
+    /// The targets of the event being routed: one buffer reused by every
+    /// [`handle_event`](Self::handle_event), taken out while it is walked.
+    targets: Vec<Peer>,
 }
 
 impl<P: MobilityProtocol> Broker<P> {
     /// Build a broker from its parts.
     pub fn new(core: BrokerCore, proto: P) -> Self {
-        Broker { core, proto }
+        Broker {
+            core,
+            proto,
+            targets: Vec::new(),
+        }
     }
 
     /// Route an event that arrived from `from` (a client publish or an
@@ -751,47 +768,43 @@ impl<P: MobilityProtocol> Broker<P> {
         if self.core.retained_enabled {
             self.core.retained.insert(event.publisher, event.clone());
         }
-        let mut targets = self.core.filters.matching_targets(&event, from);
+        let mut targets = std::mem::take(&mut self.targets);
+        self.core
+            .filters
+            .matching_targets_into(&event, from, &mut targets);
         if self.core.shared_group_size > 1 {
             collapse_shared_groups(&mut targets, self.core.shared_group_size, event.id);
         }
-        if !targets.is_empty() {
-            match self.core.fanout_mode {
-                FanoutMode::Cached => {
-                    if let Some(cached) = CachedEvent::render(&event) {
-                        self.core.fanout.fanouts += 1;
-                        self.core.fanout.serializations += 1;
-                        self.core.fanout.bytes_serialized += cached.len() as u64;
-                        self.core.fanout.fanout_allocs += 1;
-                        ctx.note_fanout_allocs(1);
-                        for target in &targets {
-                            let shared = cached.share();
-                            let dest = match target {
-                                Peer::Broker(b) => ctx.book().broker_node(*b).0,
-                                Peer::Client(c) => ctx.book().client_node(*c).0,
-                            };
-                            std::hint::black_box(shared.patch_header(dest));
-                            self.core.fanout.cache_hits += 1;
-                        }
-                    }
-                }
-                FanoutMode::CloneBaseline => {
-                    if event.wire_size() > 0 {
-                        self.core.fanout.fanouts += 1;
-                        for _ in &targets {
-                            let rendered =
-                                CachedEvent::render(&event).expect("wire_size checked above");
-                            self.core.fanout.serializations += 1;
-                            self.core.fanout.bytes_serialized += rendered.len() as u64;
-                            self.core.fanout.fanout_allocs += 1;
-                            ctx.note_fanout_allocs(1);
-                            std::hint::black_box(rendered.bytes());
-                        }
-                    }
-                }
-            }
+        // With payloads modeled, render the wire form once here (cached) or
+        // once per target in the walk below (the clone baseline).
+        let modeled = !targets.is_empty() && event.wire_size() > 0;
+        let cached = (modeled && self.core.fanout_mode == FanoutMode::Cached)
+            .then(|| CachedEvent::render(&event).expect("wire_size checked above"));
+        if modeled {
+            self.core.fanout.fanouts += 1;
         }
-        for target in targets {
+        if let Some(wire) = &cached {
+            self.core.fanout.serializations += 1;
+            self.core.fanout.bytes_serialized += wire.len() as u64;
+            self.core.fanout.fanout_allocs += 1;
+            ctx.note_fanout_allocs(1);
+        }
+        for &target in &targets {
+            if let Some(wire) = &cached {
+                let dest = match target {
+                    Peer::Broker(b) => ctx.book().broker_node(b).0,
+                    Peer::Client(c) => ctx.book().client_node(c).0,
+                };
+                std::hint::black_box(wire.share().patch_header(dest));
+                self.core.fanout.cache_hits += 1;
+            } else if modeled {
+                let rendered = CachedEvent::render(&event).expect("wire_size checked above");
+                self.core.fanout.serializations += 1;
+                self.core.fanout.bytes_serialized += rendered.len() as u64;
+                self.core.fanout.fanout_allocs += 1;
+                ctx.note_fanout_allocs(1);
+                std::hint::black_box(rendered.bytes());
+            }
             match target {
                 Peer::Broker(b) => ctx.forward(b, event.clone()),
                 Peer::Client(c) => {
@@ -800,6 +813,7 @@ impl<P: MobilityProtocol> Broker<P> {
                 }
             }
         }
+        self.targets = targets;
     }
 
     /// Process one message as if it arrived from `from_node`. Split out of

@@ -959,6 +959,16 @@ impl FilterTable {
     /// bucket's group is left at its first accepted entry — then sorts the
     /// selected peers by it.
     pub fn matching_targets(&mut self, event: &Event, from: Peer) -> Vec<Peer> {
+        let mut targets = Vec::new();
+        self.matching_targets_into(event, from, &mut targets);
+        targets
+    }
+
+    /// [`matching_targets`](Self::matching_targets) into a caller-owned
+    /// buffer: `out` is cleared and then holds the targets, so a caller
+    /// that keeps one buffer matches without allocating once it has grown.
+    pub fn matching_targets_into(&mut self, event: &Event, from: Peer, out: &mut Vec<Peer>) {
+        out.clear();
         let index = &mut self.index;
         if index.epoch == u32::MAX {
             index.marks.fill(Mark::default());
@@ -1003,11 +1013,12 @@ impl FilterTable {
             *s |= (index.marks[*s as usize].first as u64) << 32;
         }
         index.selected.sort_unstable();
-        index
-            .selected
-            .iter()
-            .map(|&s| index.peers[s as u32 as usize])
-            .collect()
+        out.extend(
+            index
+                .selected
+                .iter()
+                .map(|&s| index.peers[s as u32 as usize]),
+        );
     }
 
     /// Is there an entry from a peer other than `except` whose filter covers

@@ -29,9 +29,12 @@
 //! [`LinkClocks::advance_send`] + [`TrafficStats::record`] per outgoing
 //! message. All three structures are allocation-free in steady state:
 //!
-//! * the future-event list is a pooled, indexed 4-ary min-heap
-//!   ([`crate::queue`]) — sifting moves 24-byte keys, envelopes sit in
-//!   recycled slab slots;
+//! * the future-event list is a pooled, run-length 4-ary min-heap
+//!   ([`crate::queue`]): envelopes sit in recycled slab slots, and a heap
+//!   entry is a *run* of envelopes at one instant with consecutive
+//!   sequence numbers. A node's fan-out to many receivers over
+//!   equal-latency links is such a run, so it costs one sift-up and one
+//!   sift-down however wide it is; sifting moves 24-byte keys;
 //! * the channel clocks are a dense flat table for grid-sized runs and
 //!   sharded open addressing at city scale ([`crate::clocks`]);
 //! * the per-delivery outbox is an engine-owned scratch buffer swapped into

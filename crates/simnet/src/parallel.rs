@@ -57,7 +57,10 @@
 //! assigned the next true sequence numbers for its emissions, exactly as
 //! the serial engine would have. Queued events, cross-shard handoffs and
 //! drop records are then relabelled through the resulting map — an
-//! order-isomorphic rewrite, so the shard heaps stay valid in place
+//! order-isomorphic rewrite, so the shard heaps stay valid in place. The
+//! resolved numbers of a queued run need not stay consecutive (other
+//! shards' emissions fall between them), so the relabel splits runs at
+//! every gap before cross-shard envelopes are pushed into those gaps
 //! ([`EventQueue::remap_seqs`]).
 //!
 //! # Threads
@@ -1104,8 +1107,9 @@ impl<M: Message + Send, N: Node<M> + Send> ParallelEngine<M, N> {
         dscratch.clear();
         for slot in &mut self.shards {
             let state = slot.as_mut().expect("shard present");
-            // Relabel queued events in place: provisional→true is
-            // order-isomorphic, so the heap arrangement stays valid.
+            // Relabel queued events: provisional→true is order-isomorphic,
+            // so the heap arrangement stays valid; runs split at the gaps
+            // the cross-shard envelopes below may fill.
             state.queue.remap_seqs(|q| resolve_key(q, &maps));
             state.log.clear();
             state.prov_next = 0;

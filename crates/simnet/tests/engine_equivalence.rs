@@ -260,3 +260,76 @@ fn run_until_in_small_increments_equals_one_drain() {
         );
     }
 }
+
+/// A broker-shaped node: a delivery with TTL left is handed to every other
+/// node at once — on a constant-latency fabric, one burst at one delivery
+/// instant with consecutive sequence numbers — and every other one also
+/// arms a timer due at that same instant, right behind the burst.
+#[derive(Clone)]
+struct Broadcast {
+    n: u32,
+    log: Vec<(SimTime, NodeId, u64, u8)>,
+}
+
+impl Node<Chatter> for Broadcast {
+    fn on_message(&mut self, env: Envelope<Chatter>, ctx: &mut Context<Chatter>) {
+        self.log
+            .push((ctx.now(), env.from, env.msg.tag, env.msg.ttl));
+        if env.msg.ttl == 0 {
+            return;
+        }
+        let ttl = env.msg.ttl - 1;
+        let me = ctx.self_id();
+        for to in (0..self.n).map(NodeId).filter(|&to| to != me) {
+            let tag = env.msg.tag.wrapping_mul(31).wrapping_add(to.0 as u64);
+            ctx.send(to, Chatter { tag, ttl });
+        }
+        if env.msg.tag.is_multiple_of(2) {
+            let tag = env.msg.tag.wrapping_add(7);
+            ctx.schedule(LATENCY, Chatter { tag, ttl: 0 });
+        }
+    }
+}
+
+const LATENCY: SimDuration = SimDuration::from_millis(3);
+
+/// Fan-out bursts, with external injections at the instant a burst is
+/// queued for (they take the sequence numbers right after the burst's), pop
+/// in the reference engine's order.
+#[test]
+fn fan_out_bursts_with_same_instant_injections_match_the_reference_engine() {
+    let n = 40u32;
+    let nodes: Vec<Broadcast> = (0..n).map(|_| Broadcast { n, log: Vec::new() }).collect();
+    let fabric = || -> Arc<dyn Fabric> { Arc::new(UniformFabric::new(LATENCY)) };
+    let mut new_eng = Engine::new(nodes.clone(), fabric());
+    let mut old_eng = ReferenceEngine::new(nodes, fabric());
+    let kick = |tag: u64, ttl: u8| Chatter { tag, ttl };
+    for (at, to, tag) in [(1_000, 0, 2), (1_000, 7, 5), (2_500, 3, 8)] {
+        let at = SimTime::from_micros(at);
+        new_eng.schedule_external(at, NodeId(to), kick(tag, 2));
+        old_eng.schedule_external(at, NodeId(to), kick(tag, 2));
+    }
+    // Stop while the first bursts are queued for 4 ms, then inject at 4 ms.
+    for (horizon, at, to) in [(2_000, 4_000, 5), (4_500, 7_000, 11), (7_000, 10_000, 1)] {
+        new_eng.run_until(SimTime::from_micros(horizon));
+        old_eng.run_until(SimTime::from_micros(horizon));
+        assert_eq!(new_eng.deliveries(), old_eng.deliveries());
+        let at = SimTime::from_micros(at);
+        for tag in [100, 101] {
+            new_eng.schedule_external(at, NodeId(to), kick(tag, 1));
+            old_eng.schedule_external(at, NodeId(to), kick(tag, 1));
+        }
+    }
+    new_eng.run_to_completion();
+    old_eng.run_to_completion();
+    assert!(new_eng.deliveries() > 4_000, "the bursts must cascade");
+    assert_eq!(new_eng.deliveries(), old_eng.deliveries());
+    assert_eq!(new_eng.now(), old_eng.now());
+    for i in 0..n {
+        assert_eq!(
+            new_eng.node(NodeId(i)).log,
+            old_eng.node(NodeId(i)).log,
+            "node {i} saw a different sequence"
+        );
+    }
+}
