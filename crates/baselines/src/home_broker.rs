@@ -147,7 +147,7 @@ impl MobilityProtocol for HomeBroker {
         // client first (it is the oldest backlog), then proceed normally.
         if let Some(mut q) = self.expected.remove(&client) {
             for ev in q.drain() {
-                core.deliver(client, ev, ctx);
+                core.deliver(client, &ev, ctx);
             }
         }
         if info.home_broker == core.id {
@@ -157,7 +157,7 @@ impl MobilityProtocol for HomeBroker {
             rec.location = None;
             let stored: Vec<Event> = rec.store.drain();
             for ev in stored {
-                core.deliver(client, ev, ctx);
+                core.deliver(client, &ev, ctx);
             }
         } else {
             // Foreign broker: remember the home and register the new
@@ -262,7 +262,7 @@ impl MobilityProtocol for HomeBroker {
                 // the client is here, buffer if it was proclaimed to arrive,
                 // otherwise it is lost (the paper's reliability gap).
                 if core.is_connected(client) {
-                    core.deliver(client, event, ctx);
+                    core.deliver(client, &event, ctx);
                 } else if let Some(q) = self.expected.get_mut(&client) {
                     q.push(event);
                 }
@@ -301,7 +301,7 @@ impl MobilityProtocol for HomeBroker {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         _from: Peer,
         ctx: &mut BrokerCtx<'_, HbMsg>,
     ) {
@@ -311,13 +311,17 @@ impl MobilityProtocol for HomeBroker {
         let rec = self.home_record(core, client);
         match rec.location {
             Some(foreign) => {
-                ctx.send_protocol(foreign, HbMsg::ForwardEvent { client, event });
+                let forward = HbMsg::ForwardEvent {
+                    client,
+                    event: event.clone(),
+                };
+                ctx.send_protocol(foreign, forward);
             }
             None => {
                 if connected_here {
                     core.deliver(client, event, ctx);
                 } else {
-                    rec.store.push(event);
+                    rec.store.push(event.clone());
                 }
             }
         }

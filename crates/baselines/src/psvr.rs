@@ -141,7 +141,7 @@ impl RootRecord {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        ev: Event,
+        ev: &Event,
         ctx: &mut BrokerCtx<'_, PsvrMsg>,
     ) {
         let next = self.seen.entry(ev.publisher).or_insert(0);
@@ -162,7 +162,7 @@ impl RootRecord {
         self.stabilizing = false;
         let held: Vec<Event> = self.parked.drain();
         for ev in held {
-            self.deliver_checked(core, client, ev, ctx);
+            self.deliver_checked(core, client, &ev, ctx);
         }
     }
 }
@@ -346,7 +346,7 @@ impl MobilityProtocol for Psvr {
                 match self.roots.get_mut(&client) {
                     Some(rec) if rec.connected => {
                         for ev in events {
-                            rec.deliver_checked(core, client, ev, ctx);
+                            rec.deliver_checked(core, client, &ev, ctx);
                         }
                         rec.go_live(core, client, ctx);
                     }
@@ -414,7 +414,7 @@ impl MobilityProtocol for Psvr {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         _from: Peer,
         ctx: &mut BrokerCtx<'_, PsvrMsg>,
     ) {
@@ -425,7 +425,7 @@ impl MobilityProtocol for Psvr {
             }
             // Disconnected — or holding for the sweep so its older backlog
             // can be delivered first.
-            Some(rec) => rec.parked.push(event),
+            Some(rec) => rec.parked.push(event.clone()),
             // No root: the event matched a not-yet-withdrawn stale entry.
             // Deliver if the client happens to be attached; otherwise it is
             // lost and the audit says so.

@@ -194,7 +194,7 @@ impl SubUnsub {
         st: &mut SuClient,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         ctx: &mut BrokerCtx<'_, SuMsg>,
     ) {
         if st.delivered.insert(event.id) {
@@ -242,7 +242,7 @@ impl SubUnsub {
         merged.merge_dedup_sorted(handoff.incoming);
         if handoff.client_connected && core.is_connected(client) {
             for ev in merged.drain() {
-                Self::deliver_once(st, core, client, ev, ctx);
+                Self::deliver_once(st, core, client, &ev, ctx);
             }
         } else {
             // The client left again before the handoff finished: the merged
@@ -328,7 +328,7 @@ impl MobilityProtocol for SubUnsub {
                     handoff.client_connected = true;
                 } else if let Some(mut store) = st.store.take() {
                     for ev in store.drain() {
-                        Self::deliver_once(st, core, client, ev, ctx);
+                        Self::deliver_once(st, core, client, &ev, ctx);
                     }
                 }
             }
@@ -401,7 +401,7 @@ impl MobilityProtocol for SubUnsub {
                         store.push(event);
                     }
                 } else if core.is_connected(client) {
-                    for event in events {
+                    for event in &events {
                         Self::deliver_once(st, core, client, event, ctx);
                     }
                 }
@@ -445,7 +445,7 @@ impl MobilityProtocol for SubUnsub {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         _from: Peer,
         ctx: &mut BrokerCtx<'_, SuMsg>,
     ) {
@@ -457,11 +457,11 @@ impl MobilityProtocol for SubUnsub {
             return;
         };
         if let Some(handoff) = st.handoff.as_mut() {
-            handoff.buffer.push(event);
+            handoff.buffer.push(event.clone());
             return;
         }
         if let Some(store) = st.store.as_mut() {
-            store.push(event);
+            store.push(event.clone());
             return;
         }
         if connected {

@@ -249,7 +249,7 @@ fn pull_next(st: &mut MhhClient, core: &mut BrokerCore, client: ClientId, ctx: &
             let d = st.dest.as_mut().expect("dest state present");
             for ev in events {
                 if d.client_connected && !d.aborted {
-                    core.deliver(client, ev, ctx);
+                    core.deliver(client, &ev, ctx);
                 } else {
                     d.imm.push(ev);
                 }
@@ -288,14 +288,14 @@ fn finalize_dest(
         // client arrived after they did), then the TQ captures, then the
         // events that arrived over the new route — exactly the PQ-list order.
         for ev in d.imm.drain() {
-            core.deliver(client, ev, ctx);
+            core.deliver(client, &ev, ctx);
         }
         for ev in d.tq_buf.drain() {
-            core.deliver(client, ev, ctx);
+            core.deliver(client, &ev, ctx);
         }
         if let Some(mut q) = d.new_q.take() {
             for ev in q.drain() {
-                core.deliver(client, ev, ctx);
+                core.deliver(client, &ev, ctx);
             }
         }
         st.anchor = Some(AnchorState::default());
@@ -391,7 +391,7 @@ impl MobilityProtocol for Mhh {
                 d.aborted = false;
                 let backlog: Vec<Event> = d.imm.drain();
                 for ev in backlog {
-                    core.deliver(client, ev, ctx);
+                    core.deliver(client, &ev, ctx);
                 }
             }
             pull_next(st, core, client, ctx);
@@ -769,7 +769,7 @@ impl MobilityProtocol for Mhh {
                     match stage {
                         TransferStage::PqList => {
                             if d.client_connected && !d.aborted {
-                                core.deliver(client, event, ctx);
+                                core.deliver(client, &event, ctx);
                             } else {
                                 d.imm.push(event);
                             }
@@ -911,7 +911,7 @@ impl MobilityProtocol for Mhh {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         _from: Peer,
         ctx: &mut Ctx<'_>,
     ) {
@@ -927,10 +927,10 @@ impl MobilityProtocol for Mhh {
             // Newly arriving event at a migration destination: buffered until
             // event migration finishes so older migrated events go first.
             match d.new_q.as_mut() {
-                Some(q) => q.push(event),
+                Some(q) => q.push(event.clone()),
                 None => {
                     let mut q = EventQueue::new(core.alloc_pq_id(client), QueueKind::Persistent);
-                    q.push(event);
+                    q.push(event.clone());
                     d.new_q = Some(q);
                 }
             }
@@ -940,13 +940,13 @@ impl MobilityProtocol for Mhh {
             // In-transit event captured on a migration path (the
             // accept-only-from label guarantees it came from the right
             // neighbor).
-            tq.queue.push(event);
+            tq.queue.push(event.clone());
             return;
         }
         if let Some(anchor) = st.anchor.as_ref() {
             if let Some(open) = anchor.open {
                 if let Some(q) = st.local.get_mut(&open.seq) {
-                    q.push(event);
+                    q.push(event.clone());
                     return;
                 }
             }
@@ -958,7 +958,7 @@ impl MobilityProtocol for Mhh {
             // one defensively rather than dropping the event.
             let pq_id = core.alloc_pq_id(client);
             let mut q = EventQueue::new(pq_id, QueueKind::Persistent);
-            q.push(event);
+            q.push(event.clone());
             let anchor = st.anchor.as_mut().expect("anchor present");
             anchor.list.push(pq_id);
             anchor.open = Some(pq_id);

@@ -49,8 +49,10 @@ pub struct BrokerCtx<'a, P: ProtocolMessage> {
     /// The broker this context belongs to (None for client/test contexts).
     self_broker: Option<BrokerId>,
     /// Partitioned peers to tunnel around (snapshot of the broker's
-    /// [`RepairState::tunnels`]; empty in the fault-free common case).
-    tunnels: Arc<BTreeMap<BrokerId, BrokerId>>,
+    /// [`RepairState::tunnels`]). `None` in the fault-free common case, so
+    /// building, reborrowing and sending through a context touches no
+    /// reference count unless a partition is open.
+    tunnels: Option<Arc<BTreeMap<BrokerId, BrokerId>>>,
 }
 
 impl<'a, P: ProtocolMessage> BrokerCtx<'a, P> {
@@ -60,18 +62,19 @@ impl<'a, P: ProtocolMessage> BrokerCtx<'a, P> {
             sink: CtxSink::Direct(inner),
             book,
             self_broker: None,
-            tunnels: Arc::new(BTreeMap::new()),
+            tunnels: None,
         }
     }
 
     /// Wrap a simulator context for a specific broker: sends to a
     /// partitioned peer are transparently wrapped in a
-    /// [`RepairMsg::Tunnel`] through that peer's relay.
+    /// [`RepairMsg::Tunnel`] through that peer's relay. Pass `None` for
+    /// `tunnels` while no partition is open.
     pub fn for_broker(
         inner: &'a mut Context<NetMsg<P>>,
         book: AddressBook,
         broker: BrokerId,
-        tunnels: Arc<BTreeMap<BrokerId, BrokerId>>,
+        tunnels: Option<Arc<BTreeMap<BrokerId, BrokerId>>>,
     ) -> Self {
         BrokerCtx {
             sink: CtxSink::Direct(inner),
@@ -106,8 +109,11 @@ impl<'a, P: ProtocolMessage> BrokerCtx<'a, P> {
     /// through the relay recorded by the repair layer (tunnels themselves
     /// are never re-wrapped — the relay forwards them as-is).
     pub fn send_to_broker(&mut self, broker: BrokerId, msg: NetMsg<P>) {
-        if !self.tunnels.is_empty() && !matches!(msg, NetMsg::Repair(RepairMsg::Tunnel { .. })) {
-            if let (Some(me), Some(&relay)) = (self.self_broker, self.tunnels.get(&broker)) {
+        if let Some(tunnels) = &self.tunnels {
+            let is_tunnel = matches!(msg, NetMsg::Repair(RepairMsg::Tunnel { .. }));
+            if let (Some(me), Some(&relay), false) =
+                (self.self_broker, tunnels.get(&broker), is_tunnel)
+            {
                 let wrapped = NetMsg::Repair(RepairMsg::Tunnel {
                     src: me,
                     dst: broker,
@@ -135,8 +141,15 @@ impl<'a, P: ProtocolMessage> BrokerCtx<'a, P> {
     /// Protocol code should normally go through [`BrokerCore::deliver`] (or
     /// [`BrokerCore::try_deliver`]) instead, which applies the broker's
     /// duplicate-suppression window before reaching this raw send.
-    pub fn deliver(&mut self, client: ClientId, event: Event) {
-        self.send(self.book.client_node(client), NetMsg::Deliver(event));
+    ///
+    /// The message carries only the event's id and wire size (see
+    /// [`NetMsg::Deliver`]), so the event is borrowed, not cloned.
+    pub fn deliver(&mut self, client: ClientId, event: &Event) {
+        let msg = NetMsg::Deliver {
+            id: event.id,
+            wire_bytes: event.wire_size(),
+        };
+        self.send(self.book.client_node(client), msg);
     }
 
     /// Acknowledge a client publish (publisher-side retransmission support).
@@ -183,6 +196,7 @@ impl<'a> BrokerCtx<'a, BoxedMsg> {
     pub fn erased<M: ProtocolMessage>(&mut self) -> BrokerCtx<'_, M> {
         let book = self.book;
         let self_broker = self.self_broker;
+        // `None` unless a partition is open: no reference count to bump.
         let tunnels = self.tunnels.clone();
         // Both arms hold a `Context<NetMsg<BoxedMsg>>` when `P = BoxedMsg`.
         let inner: &mut Context<NetMsg<BoxedMsg>> = match &mut self.sink {
@@ -240,12 +254,14 @@ pub trait MobilityProtocol: Sized + Send {
     );
 
     /// An event matched a client entry of this broker's filter table. The
-    /// protocol decides whether to deliver immediately, buffer, or move it.
+    /// protocol decides whether to deliver immediately, buffer, or move it;
+    /// the event is borrowed, so only a protocol that keeps it (a buffer,
+    /// a store, a transfer message) pays for a clone.
     fn on_client_event(
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         from: Peer,
         ctx: &mut BrokerCtx<'_, Self::Msg>,
     );
@@ -534,10 +550,10 @@ impl BrokerCore {
     pub fn deliver<P: ProtocolMessage>(
         &mut self,
         client: ClientId,
-        event: Event,
+        event: &Event,
         ctx: &mut BrokerCtx<'_, P>,
     ) -> bool {
-        if self.dedup_window > 0 && self.note_delivery_is_duplicate(client, &event) {
+        if self.dedup_window > 0 && self.note_delivery_is_duplicate(client, event) {
             self.duplicates_suppressed += 1;
             return false;
         }
@@ -594,7 +610,7 @@ impl BrokerCore {
     pub fn try_deliver<P: ProtocolMessage>(
         &mut self,
         client: ClientId,
-        event: Event,
+        event: &Event,
         ctx: &mut BrokerCtx<'_, P>,
     ) -> bool {
         if self.is_connected(client) {
@@ -759,11 +775,16 @@ impl<P: MobilityProtocol> Broker<P> {
     /// client entries are handed to the protocol.
     ///
     /// When payload modeling is on (`event.wire_size() > 0`), the wire form
-    /// is materialized per [`FanoutMode`]: rendered once and `Arc`-shared
-    /// across all targets (cached), or re-rendered per target (the clone
-    /// baseline). Both modes transport the same `Event` values, so delivery
+    /// is materialized per [`FanoutMode`]: rendered once and only
+    /// header-patched per target (cached), or re-rendered per target (the
+    /// clone baseline). Both modes send the same messages, so delivery
     /// behavior — order, timing, audit, ledger — is byte-identical; only
     /// the serialization/allocation counters differ.
+    ///
+    /// Client targets borrow the event: a `Deliver` carries only its id and
+    /// wire size, so the walk over local subscribers touches no reference
+    /// count. Broker targets get a `Forward` holding a clone, because the
+    /// next broker has to match the event.
     fn handle_event(&mut self, event: Event, from: Peer, ctx: &mut BrokerCtx<'_, P::Msg>) {
         if self.core.retained_enabled {
             self.core.retained.insert(event.publisher, event.clone());
@@ -795,7 +816,7 @@ impl<P: MobilityProtocol> Broker<P> {
                     Peer::Broker(b) => ctx.book().broker_node(b).0,
                     Peer::Client(c) => ctx.book().client_node(c).0,
                 };
-                std::hint::black_box(wire.share().patch_header(dest));
+                std::hint::black_box(wire.patch_header(dest));
                 self.core.fanout.cache_hits += 1;
             } else if modeled {
                 let rendered = CachedEvent::render(&event).expect("wire_size checked above");
@@ -807,10 +828,9 @@ impl<P: MobilityProtocol> Broker<P> {
             }
             match target {
                 Peer::Broker(b) => ctx.forward(b, event.clone()),
-                Peer::Client(c) => {
-                    self.proto
-                        .on_client_event(&mut self.core, c, event.clone(), from, ctx)
-                }
+                Peer::Client(c) => self
+                    .proto
+                    .on_client_event(&mut self.core, c, &event, from, ctx),
             }
         }
         self.targets = targets;
@@ -850,7 +870,7 @@ impl<P: MobilityProtocol> Broker<P> {
                             .filter(|e| e.publisher != info.client && info.filter.matches(e))
                             .cloned()
                             .collect();
-                        for event in replay {
+                        for event in &replay {
                             self.core.deliver(info.client, event, bctx);
                         }
                     }
@@ -925,19 +945,16 @@ impl<P: MobilityProtocol> Broker<P> {
             }
             // Messages addressed to clients or timer actions are never
             // handled by brokers.
-            NetMsg::Deliver(_) | NetMsg::PublishAck { .. } | NetMsg::Action(_) => {}
+            NetMsg::Deliver { .. } | NetMsg::PublishAck { .. } | NetMsg::Action(_) => {}
         }
     }
 }
 
 impl<P: MobilityProtocol> Node<NetMsg<P::Msg>> for Broker<P> {
     fn on_message(&mut self, env: Envelope<NetMsg<P::Msg>>, ctx: &mut Context<NetMsg<P::Msg>>) {
-        let mut bctx = BrokerCtx::for_broker(
-            ctx,
-            self.core.book,
-            self.core.id,
-            self.core.repair.tunnels.clone(),
-        );
+        let tunnels = &self.core.repair.tunnels;
+        let tunnels = (!tunnels.is_empty()).then(|| Arc::clone(tunnels));
+        let mut bctx = BrokerCtx::for_broker(ctx, self.core.book, self.core.id, tunnels);
         self.dispatch(env.from, env.msg, &mut bctx);
         if self.core.track_mem {
             let buffered = self.proto.buffered_bytes();
@@ -1032,7 +1049,7 @@ impl MobilityProtocol for NoProtocol {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         _from: Peer,
         ctx: &mut BrokerCtx<'_, Self::Msg>,
     ) {
@@ -1072,6 +1089,14 @@ mod tests {
     /// Build a 3×3 broker grid with `clients` clients, all subscribed to
     /// `group == 1`, attached round-robin.
     fn build(clients: usize) -> (Engine<M, TestNode>, AddressBook, Arc<Network>) {
+        build_homed(clients, |c| BrokerId(c.0 % 9))
+    }
+
+    /// [`build`], with each client attached at `home(client)`.
+    fn build_homed(
+        clients: usize,
+        home: impl Fn(ClientId) -> BrokerId,
+    ) -> (Engine<M, TestNode>, AddressBook, Arc<Network>) {
         let network = Arc::new(Network::grid(3, 7));
         let book = AddressBook::new(9, clients);
         let fabric = Arc::new(GridFabric::paper_defaults(network.clone()));
@@ -1083,7 +1108,7 @@ mod tests {
             .collect();
         let mut client_nodes = Vec::new();
         for c in book.clients() {
-            let home = BrokerId((c.0 as usize % 9) as u32);
+            let home = home(c);
             install_subscription(&mut brokers, &network, c, &filter, home, true);
             let mut node = ClientNode::new(c, book, filter.clone(), home);
             node.current_broker = Some(home);
@@ -1128,6 +1153,41 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// Queued deliveries hold no event data: once the broker has fanned a
+    /// publish out, the `Deliver` messages waiting in the engine queue add
+    /// no reference to the event's attribute payload, however many local
+    /// subscribers matched.
+    #[test]
+    fn queued_deliveries_hold_no_event_data() {
+        let refs_after_fanout = |subscribers: u32| {
+            let (mut eng, book, _net) = build_homed(1 + subscribers as usize, |_| BrokerId(0));
+            let publisher = book.client_node(ClientId(0));
+            eng.schedule_external(
+                SimTime::from_millis(1),
+                publisher,
+                publish_action(&book, ClientId(0), 1, 1),
+            );
+            // The client publishes, then the broker fans the event out.
+            assert!(eng.step() && eng.step());
+            assert_eq!(
+                eng.pending(),
+                subscribers as usize,
+                "one Deliver per subscriber"
+            );
+            for c in 1..=subscribers {
+                match eng.node(book.client_node(ClientId(c))) {
+                    TestNode::Client(cl) => assert!(cl.received.is_empty()),
+                    _ => unreachable!(),
+                }
+            }
+            match eng.node(publisher) {
+                TestNode::Client(cl) => Arc::strong_count(&cl.published[0].data),
+                _ => unreachable!(),
+            }
+        };
+        assert_eq!(refs_after_fanout(1), refs_after_fanout(16));
     }
 
     #[test]

@@ -309,10 +309,10 @@ impl ClientNode {
 impl<P: ProtocolMessage> Node<NetMsg<P>> for ClientNode {
     fn on_message(&mut self, env: Envelope<NetMsg<P>>, ctx: &mut Context<NetMsg<P>>) {
         match env.msg {
-            NetMsg::Deliver(event) => {
+            NetMsg::Deliver { id, .. } => {
                 let record = DeliveryRecord {
                     at: ctx.now(),
-                    event: event.id,
+                    event: id,
                 };
                 if let Some(last) = self.reconnects.last_mut() {
                     if last.first_delivery.is_none() {
@@ -538,7 +538,14 @@ mod tests {
             }),
         );
         // A delivery arriving after the reconnect.
-        eng.schedule_external(SimTime::from_millis(180), c, NetMsg::Deliver(ev(9)));
+        eng.schedule_external(
+            SimTime::from_millis(180),
+            c,
+            NetMsg::Deliver {
+                id: ev(9).id,
+                wire_bytes: 0,
+            },
+        );
         eng.run_to_completion();
         match eng.node(c) {
             N::Client(cl) => {

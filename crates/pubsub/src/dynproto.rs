@@ -165,7 +165,7 @@ pub trait DynProtocol: Send {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         from: Peer,
         ctx: &mut BrokerCtx<'_, BoxedMsg>,
     );
@@ -243,7 +243,7 @@ impl<P: MobilityProtocol> DynProtocol for ErasedProtocol<P> {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         from: Peer,
         ctx: &mut BrokerCtx<'_, BoxedMsg>,
     ) {
@@ -314,7 +314,7 @@ impl MobilityProtocol for Box<dyn DynProtocol> {
         &mut self,
         core: &mut BrokerCore,
         client: ClientId,
-        event: Event,
+        event: &Event,
         from: Peer,
         ctx: &mut BrokerCtx<'_, Self::Msg>,
     ) {

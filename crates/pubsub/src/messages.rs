@@ -190,8 +190,16 @@ pub enum NetMsg<P> {
     // ------------------------------------------------------------------
     // broker -> client
     // ------------------------------------------------------------------
-    /// Final delivery of an event to a connected subscriber.
-    Deliver(Event),
+    /// Final delivery of an event to a connected subscriber. The subscriber
+    /// only records which event arrived, so the message carries the event's
+    /// id and its modeled wire size, not the event itself: a fan-out queues
+    /// one plain value per target and holds no reference to the event data.
+    Deliver {
+        /// The delivered event.
+        id: EventId,
+        /// The event's [`Event::wire_size`], for byte accounting.
+        wire_bytes: u32,
+    },
     /// Broker acknowledgment of a client publish (sent only when publisher
     /// retransmission is enabled); the client stops its retry timer.
     PublishAck {
@@ -248,7 +256,7 @@ impl<P> NetMsg<P> {
                 proclaimed_dest,
             },
             NetMsg::Publish(e) => NetMsg::Publish(e),
-            NetMsg::Deliver(e) => NetMsg::Deliver(e),
+            NetMsg::Deliver { id, wire_bytes } => NetMsg::Deliver { id, wire_bytes },
             NetMsg::PublishAck { id } => NetMsg::PublishAck { id },
             NetMsg::SubPropagate { filter, mobility } => NetMsg::SubPropagate { filter, mobility },
             NetMsg::UnsubPropagate { filter, mobility } => {
@@ -290,7 +298,7 @@ impl<P: ProtocolMessage> Message for NetMsg<P> {
             NetMsg::Connect(_) | NetMsg::Disconnect { .. } | NetMsg::Publish(_) => {
                 TrafficClass::ClientControl
             }
-            NetMsg::Deliver(_) => TrafficClass::EventDelivery,
+            NetMsg::Deliver { .. } => TrafficClass::EventDelivery,
             NetMsg::PublishAck { .. } => TrafficClass::ClientControl,
             NetMsg::SubPropagate { mobility, .. } | NetMsg::UnsubPropagate { mobility, .. } => {
                 if *mobility {
@@ -311,7 +319,7 @@ impl<P: ProtocolMessage> Message for NetMsg<P> {
             NetMsg::Connect(_) => "connect",
             NetMsg::Disconnect { .. } => "disconnect",
             NetMsg::Publish(_) => "publish",
-            NetMsg::Deliver(_) => "deliver",
+            NetMsg::Deliver { .. } => "deliver",
             NetMsg::PublishAck { .. } => "publish_ack",
             NetMsg::SubPropagate { .. } => "sub_propagate",
             NetMsg::UnsubPropagate { .. } => "unsub_propagate",
@@ -336,7 +344,8 @@ impl<P: ProtocolMessage> Message for NetMsg<P> {
 
     fn wire_bytes(&self) -> u32 {
         match self {
-            NetMsg::Publish(e) | NetMsg::Deliver(e) | NetMsg::Forward(e) => e.wire_size(),
+            NetMsg::Publish(e) | NetMsg::Forward(e) => e.wire_size(),
+            NetMsg::Deliver { wire_bytes, .. } => *wire_bytes,
             NetMsg::Protocol(p) => p.wire_bytes(),
             NetMsg::Repair(RepairMsg::Tunnel { inner, .. }) => inner.wire_bytes(),
             NetMsg::Repair(RepairMsg::Replicate { checkpoint, .. }) => {
@@ -382,7 +391,10 @@ mod tests {
         type M = NetMsg<NoProtocolMsg>;
         let publish: M = NetMsg::Publish(ev());
         assert_eq!(publish.traffic_class(), TrafficClass::ClientControl);
-        let deliver: M = NetMsg::Deliver(ev());
+        let deliver: M = NetMsg::Deliver {
+            id: ev().id,
+            wire_bytes: 0,
+        };
         assert_eq!(deliver.traffic_class(), TrafficClass::EventDelivery);
         let fwd: M = NetMsg::Forward(ev());
         assert_eq!(fwd.traffic_class(), TrafficClass::EventRouting);

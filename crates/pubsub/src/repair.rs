@@ -1002,6 +1002,142 @@ mod tests {
         );
     }
 
+    /// Protocol messages for [`PingProtocol`].
+    #[derive(Debug, Clone)]
+    enum PingMsg {
+        /// Injected at the sender: ping `to`.
+        Start { to: BrokerId },
+        /// The ping itself.
+        Ping,
+    }
+
+    impl ProtocolMessage for PingMsg {
+        fn kind(&self) -> &'static str {
+            "ping"
+        }
+        fn traffic_class(&self) -> mhh_simnet::TrafficClass {
+            mhh_simnet::TrafficClass::MobilityControl
+        }
+    }
+
+    /// A protocol that only sends pings and logs `(receiver, sender)` for
+    /// every ping that arrives.
+    struct PingProtocol(Arc<std::sync::Mutex<Vec<(BrokerId, BrokerId)>>>);
+
+    impl MobilityProtocol for PingProtocol {
+        type Msg = PingMsg;
+
+        fn name(&self) -> &'static str {
+            "ping"
+        }
+
+        fn on_client_connect(
+            &mut self,
+            _core: &mut BrokerCore,
+            _info: crate::messages::ConnectInfo,
+            _ctx: &mut BrokerCtx<'_, PingMsg>,
+        ) {
+        }
+
+        fn on_client_disconnect(
+            &mut self,
+            _core: &mut BrokerCore,
+            _client: ClientId,
+            _filter: FilterRef,
+            _proclaimed_dest: Option<BrokerId>,
+            _ctx: &mut BrokerCtx<'_, PingMsg>,
+        ) {
+        }
+
+        fn on_protocol_msg(
+            &mut self,
+            core: &mut BrokerCore,
+            from: BrokerId,
+            msg: PingMsg,
+            ctx: &mut BrokerCtx<'_, PingMsg>,
+        ) {
+            match msg {
+                PingMsg::Start { to } => ctx.send_protocol(to, PingMsg::Ping),
+                PingMsg::Ping => self.0.lock().unwrap().push((core.id, from)),
+            }
+        }
+
+        fn on_client_event(
+            &mut self,
+            _core: &mut BrokerCore,
+            _client: ClientId,
+            _event: &Event,
+            _from: Peer,
+            _ctx: &mut BrokerCtx<'_, PingMsg>,
+        ) {
+        }
+    }
+
+    /// Protocol traffic of a type-erased protocol is tunneled like core
+    /// traffic: the context that `BrokerCtx::erased` hands the wrapped
+    /// protocol keeps the broker's partition tunnels.
+    #[test]
+    fn erased_protocol_traffic_tunnels_through_partition() {
+        use crate::dynproto::{erase, BoxedMsg, DynProtocol};
+
+        let config = DeploymentConfig::default();
+        let network = Arc::new(mhh_simnet::TopologyKind::Grid.build(config.grid_side, config.seed));
+        let (a, b) = (BrokerId(0), BrokerId(network.tree.neighbors(0)[0] as u32));
+        let schedule = FaultSchedule::new().partition(
+            NodeId(a.0),
+            NodeId(b.0),
+            SimTime::from_secs(1),
+            SimTime::from_secs(10),
+        );
+
+        let run = |repair: bool| {
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut dep: Deployment<Box<dyn DynProtocol>> =
+                Deployment::build_on(network.clone(), &config, &[], |_| {
+                    erase(PingProtocol(log.clone()))
+                });
+            dep.engine.set_faults(Arc::new(schedule.clone()));
+            if repair {
+                let drives = repair_drives(
+                    &schedule,
+                    &network,
+                    &dep.book,
+                    SimDuration::from_millis(500),
+                );
+                for (at, node, msg) in drives {
+                    dep.engine.schedule_external(at, node, msg);
+                }
+            }
+            let start = NetMsg::Protocol(BoxedMsg::new(PingMsg::Start { to: b }));
+            let a_node = dep.book.broker_node(a);
+            dep.engine
+                .schedule_external(SimTime::from_secs(3), a_node, start);
+            dep.engine.run_to_completion();
+            let pings = log.lock().unwrap().clone();
+            let stats = dep.engine.stats();
+            (
+                pings,
+                stats.kind("repair_tunnel").messages,
+                stats.kind("ping").messages,
+            )
+        };
+
+        let (pings, tunneled, direct) = run(false);
+        assert!(pings.is_empty(), "the severed edge drops the ping");
+        assert_eq!((tunneled, direct), (0, 1));
+        let (pings, tunneled, direct) = run(true);
+        assert_eq!(
+            pings,
+            vec![(b, a)],
+            "the ping arrives once, from its sender"
+        );
+        assert_eq!(
+            (tunneled, direct),
+            (2, 0),
+            "the ping crosses the relay in two tunnel sends and never goes direct"
+        );
+    }
+
     /// Durable state survives a checkpoint/restore round-trip, labels
     /// included; later mutations are rolled back to the snapshot.
     #[test]

@@ -1,5 +1,5 @@
 //! Serialize-once fan-out: the wire form of an event, rendered one time
-//! per publish and shared across every matched destination.
+//! per publish and serving every matched destination.
 //!
 //! A naive broker serializes an event once *per subscriber*: with a
 //! 2,000-subscriber fan-out that is 2,000 buffer allocations and 2,000
@@ -12,10 +12,17 @@
 //!
 //! [`CachedEvent`] reproduces that design inside the simulation: the body
 //! is rendered into an `Arc<[u8]>` exactly once per fan-out
-//! ([`CachedEvent::render`]), every destination shares it, and
-//! [`CachedEvent::patch_header`] produces the per-destination header in a
-//! fixed stack array without touching the heap. The clone-per-subscriber
-//! baseline ([`FanoutMode::CloneBaseline`]) is kept switchable so the win
+//! ([`CachedEvent::render`]), and [`CachedEvent::patch_header`] produces
+//! each destination's header in a fixed stack array from that one buffer,
+//! without touching the heap or the reference count. The broker's fan-out
+//! walk only patches; [`CachedEvent::share`] (a reference-count bump) is
+//! left for a holder that must keep the rendered form beyond the walk.
+//! What travels per destination is likewise small: a delivery carries the
+//! event id and wire size, not the event (see
+//! [`NetMsg::Deliver`](crate::messages::NetMsg::Deliver)).
+//!
+//! The clone-per-subscriber baseline ([`FanoutMode::CloneBaseline`]) is
+//! kept switchable so the win
 //! is measured, not asserted — delivery behavior is byte-identical
 //! between the two modes because serialization is an accounting model
 //! only: simulated latency never depends on it.
@@ -28,8 +35,8 @@ use crate::value::Value;
 /// How a broker materializes the wire form of an event during fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutMode {
-    /// Render once per publish, share by `Arc`, patch headers per
-    /// destination (the `CachedPublish` pattern). The default.
+    /// Render once per publish, patch headers per destination from the
+    /// one buffer (the `CachedPublish` pattern). The default.
     #[default]
     Cached,
     /// Render the full wire form once per destination — the baseline the
